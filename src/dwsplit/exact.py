@@ -8,11 +8,22 @@ products.  The basis length scale follows the well curvature,
 l = deltaV''(x_min)^(-1/4) in reduced units, and the basis size is doubled
 until the splitting e1 - e0 is stable to a relative tolerance.
 
+deltaV is even about the basis center and psi_k(-xi) = (-1)^k psi_k(xi),
+so the matrix splits into an even block (psi_0, psi_2, ...) and an odd
+block (psi_1, psi_3, ...) of about n_basis/2 each.  The quadrature order is
+even, so no node sits at the center and the rule folds onto its positive
+nodes: a block is T diag(w (deltaV(x) + deltaV(-x))) T^T over the folded
+table T of its parity, plus the kinetic part, which is tridiagonal within a
+parity.  The folded tables do not depend on the model and are cached per
+basis size.  Only the two lowest eigenpairs of each block are computed
+(subset LAPACK eigensolver); the three lowest levels of the whole operator
+are always among those four.
+
 Total quadrature weights w_i * exp(xi_i^2) are produced directly from the
 inverse Christoffel sum 1 / sum_k psi_k(xi_i)^2 over the orthonormal
 Hermite functions, which stays finite where the raw weights underflow.
-Nodes in the extreme tail where even that sum underflows are dropped; every
-basis function is zero there to machine precision.
+Nodes in the extreme tail where even that sum underflows get weight zero;
+every basis function is zero there to machine precision.
 """
 
 from __future__ import annotations
@@ -23,10 +34,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import roots_hermite
 
 from . import numerics
-from .numerics import SymmetricMatrix
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,6 @@ def hermite_function_table(n: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
 def _hermite_rule(order: int):
     """Gauss-Hermite nodes and underflow-safe total weights w * exp(xi^2)."""
     xi, _ = roots_hermite(order)
@@ -123,23 +133,50 @@ def _hermite_rule(order: int):
         acc += psi_cur * psi_cur
     with np.errstate(divide="ignore"):
         weights = np.where(acc > 0.0, 1.0 / acc, 0.0)
-    xi.setflags(write=False)
-    weights.setflags(write=False)
     return xi, weights
 
 
-def build_hamiltonian(delta_v: Callable, basis: HermiteBasis) -> SymmetricMatrix:
-    """Matrix of -d2/dx2 + deltaV in the given oscillator basis.
+@lru_cache(maxsize=8)
+def _parity_tables(n: int):
+    """Positive nodes and weights of the order 2n+32 rule, and the even and
+    odd rows of the Hermite table there: (xi, weights, (even, odd))."""
+    xi, weights = _hermite_rule(2 * n + 32)
+    half = xi.size // 2      # nodes are symmetric and the order is even
+    xi, weights = xi[half:], weights[half:]
+    table = hermite_function_table(n, xi)
+    tables = (np.ascontiguousarray(table[0::2]),
+              np.ascontiguousarray(table[1::2]))
+    for arr in (xi, weights) + tables:
+        arr.setflags(write=False)
+    return xi, weights, tables
 
-    deltaV must accept numpy arrays.  The kinetic part is the closed-form
-    pentadiagonal oscillator expression; the potential part is a single
-    weighted outer product over the quadrature nodes.
+
+@dataclass(frozen=True)
+class ParityHamiltonian:
+    """Matrix of -d2/dx2 + deltaV split by parity.
+
+    even holds the rows and columns of psi_0, psi_2, ...; odd those of
+    psi_1, psi_3, ...; the couplings between them vanish for even deltaV.
     """
-    n = basis.n_basis
+
+    even: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """Size of the whole basis."""
+        return self.even.shape[0] + self.odd.shape[0]
+
+
+def build_hamiltonian(delta_v: Callable, basis: HermiteBasis) -> ParityHamiltonian:
+    """Parity blocks of -d2/dx2 + deltaV in the given oscillator basis.
+
+    deltaV must accept numpy arrays and be even about the basis center.
+    It is evaluated once, on the folded nodes and their mirror images.
+    """
     ell = basis.length_scale
-    order = 2 * n + 32
-    xi, weights = _hermite_rule(order)
-    x_nodes = basis.center + ell * xi
+    xi, weights, tables = _parity_tables(basis.n_basis)
+    x_nodes = basis.center + ell * np.concatenate((xi, -xi))
     v_nodes = np.asarray(delta_v(x_nodes), dtype=float)
     if v_nodes.shape != x_nodes.shape:
         raise ValueError("delta_v must map an array of positions to an array "
@@ -147,28 +184,44 @@ def build_hamiltonian(delta_v: Callable, basis: HermiteBasis) -> SymmetricMatrix
     if not np.all(np.isfinite(v_nodes)):
         raise ValueError("delta_v returned non-finite values on the "
                          "quadrature nodes")
+    v_right, v_left = v_nodes[:xi.size], v_nodes[xi.size:]
+    asymmetry = float(np.max(np.abs(v_right - v_left)))
+    if asymmetry > 1e-9 * float(np.max(np.abs(v_nodes))):
+        raise ValueError(
+            f"delta_v must be even about the basis center: "
+            f"|deltaV(x) - deltaV(-x)| reaches {asymmetry:.3e}"
+        )
+    folded = weights * (v_right + v_left)
+    return ParityHamiltonian(*(_parity_block(table, folded, parity, ell)
+                               for parity, table in enumerate(tables)))
 
-    table = hermite_function_table(n, xi)
-    h = (table * (weights * v_nodes)) @ table.T
+
+def _parity_block(table: np.ndarray, folded: np.ndarray, parity: int,
+                  ell: float) -> np.ndarray:
+    """Block of basis indices k = parity, parity + 2, ...; symmetrized."""
+    # scipy's BLAS, not numpy's @: numpy and scipy each load an OpenBLAS, and
+    # alternating the two thread pools halved sweep throughput on 2 cores.
+    h = blas.dgemm(1.0, (table * folded).T, table.T, trans_a=True)
 
     # kinetic: <j|-d2/dx2|k> = [ (k + 1/2) d_{jk}
     #   - sqrt((k+1)(k+2))/2 d_{j,k+2} - sqrt(k(k-1))/2 d_{j,k-2} ] / l^2
-    k_idx = np.arange(n)
-    h[k_idx, k_idx] += (k_idx + 0.5) / ell**2
-    if n > 2:
-        j_idx = np.arange(n - 2)
-        off = -0.5 * np.sqrt((j_idx + 1.0) * (j_idx + 2.0)) / ell**2
-        h[j_idx, j_idx + 2] += off
-        h[j_idx + 2, j_idx] += off
+    k = parity + 2.0 * np.arange(table.shape[0])
+    m = np.arange(k.size)
+    h[m, m] += (k + 0.5) / ell**2
+    off = -0.5 * np.sqrt((k[:-1] + 1.0) * (k[:-1] + 2.0)) / ell**2
+    h[m[:-1], m[1:]] += off
+    h[m[1:], m[:-1]] += off
 
     scale = float(np.max(np.abs(h))) or 1.0
     residual = float(np.max(np.abs(h - h.T)))
     if residual > 1e-9 * scale:
         raise numerics.EigenSolverError(
             f"Hamiltonian asymmetry {residual:.3e} exceeds 1e-9 * scale; "
-            f"quadrature order {order} is insufficient"
+            f"quadrature order {2 * table.shape[1]} is insufficient"
         )
-    return SymmetricMatrix(h)
+    h += h.T
+    h *= 0.5
+    return h
 
 
 def exact_splitting(
@@ -211,8 +264,8 @@ def exact_splitting(
         raise ValueError(
             f"well curvature must be positive, got {well_curvature:.6g}"
         )
-    if n_start < 2 or n_max < n_start:
-        raise ValueError("need 2 <= n_start <= n_max")
+    if n_start < 3 or n_max < n_start:
+        raise ValueError("need 3 <= n_start <= n_max")
 
     ell = float(well_curvature) ** -0.25
     history = []
@@ -224,13 +277,14 @@ def exact_splitting(
     while n <= n_max:
         basis = HermiteBasis(n_basis=n, length_scale=ell)
         matrix = build_hamiltonian(delta_v, basis)
-        values, vectors = numerics.eig_symmetric_lowest(matrix, 3)
+        values, vectors = _lowest_three(matrix)
         split = float(values[1] - values[0])
         history.append((n, split))
         best = (values, vectors, basis)
         # eigenvalues carry noise ~ eps * ||H||; demanding agreement
         # below that floor would never terminate for tiny splittings
-        gersh = float(np.abs(matrix.entries).sum(axis=1).max())
+        gersh = max(float(np.abs(block).sum(axis=1).max())
+                    for block in (matrix.even, matrix.odd))
         noise_floor = 64.0 * np.finfo(float).eps * gersh
         if prev_split is not None and (
                 abs(split - prev_split)
@@ -241,12 +295,28 @@ def exact_splitting(
         n *= 2
 
     values, vectors, basis = best
-    coeffs = _fix_state_signs(vectors.copy(), basis)
+    coeffs = _fix_state_signs(vectors, basis)
     return ExactSpectrumResult(
         e0=float(values[0]), e1=float(values[1]), e2=float(values[2]),
         n_basis_used=basis.n_basis, converged=converged,
         convergence_history=tuple(history), basis=basis, coefficients=coeffs,
     )
+
+
+def _lowest_three(matrix: ParityHamiltonian):
+    """Three lowest eigenpairs of the whole operator, vectors in the full
+    basis.  They are among the two lowest of each block (in 1-D: even, odd,
+    even)."""
+    values, columns = [], []
+    for parity, block in enumerate((matrix.even, matrix.odd)):
+        vals, vecs = numerics.eig_symmetric_lowest(block, min(2, block.shape[0]))
+        full = np.zeros((matrix.n, vals.size))
+        full[parity::2] = vecs
+        values.append(vals)
+        columns.append(full)
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")[:3]
+    return values[order], np.hstack(columns)[:, order]
 
 
 def _fix_state_signs(coeffs: np.ndarray, basis: HermiteBasis) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, linalg, optimize
+from scipy.linalg import blas
 
 
 class NumericsError(RuntimeError):
@@ -54,35 +55,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense real symmetric matrix.
-
-    Symmetry is enforced at construction: the stored array is the symmetric
-    part of the input, and the asymmetry of the input must be negligible
-    against its scale.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = float(np.max(np.abs(a))) or 1.0
-        residual = float(np.max(np.abs(a - a.T)))
-        if residual > 1e-9 * scale:
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry {residual:.3e} "
-                f"exceeds 1e-9 * scale ({scale:.3e})"
-            )
-        object.__setattr__(self, "entries", (a + a.T) / 2.0)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def integrate_adaptive(
@@ -180,8 +152,12 @@ def find_root_bracketed(
     return float(root)
 
 
-def eig_symmetric_lowest(matrix: SymmetricMatrix, k: int):
+def eig_symmetric_lowest(a: np.ndarray, k: int):
     """Lowest k eigenpairs of a dense real symmetric matrix.
+
+    Only the k wanted pairs are computed (LAPACK subset eigensolver, chosen
+    by index).  Symmetry is the caller's invariant: the solver reads one
+    triangle of ``a``.
 
     Returns
     -------
@@ -192,21 +168,26 @@ def eig_symmetric_lowest(matrix: SymmetricMatrix, k: int):
     Raises
     ------
     EigenSolverError
-        If LAPACK fails to converge or the residuals ||M v - lambda v||
-        exceed 1e-10 * ||M||.
+        If LAPACK fails to converge or the residuals ||A v - lambda v|| exceed
+        1e-10 times the largest row 2-norm of A, a lower bound of ||A||_2.
     """
-    if not (1 <= k <= matrix.n):
-        raise ValueError(f"need 1 <= k <= n={matrix.n}, got k={k}")
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
     try:
-        values, vectors = np.linalg.eigh(matrix.entries)
-    except np.linalg.LinAlgError as exc:
+        values, vectors = linalg.eigh(a, subset_by_index=(0, k - 1),
+                                      check_finite=False)
+    except linalg.LinAlgError as exc:
         raise EigenSolverError(f"symmetric eigensolver failed: {exc}") from exc
-    norm = float(np.max(np.abs(values))) or 1.0
-    values, vectors = values[:k], vectors[:, :k]
-    residual = np.max(np.abs(matrix.entries @ vectors - vectors * values))
-    if residual > 1e-10 * norm:
+    norm = float(np.sqrt(np.max(np.sum(a * a, axis=1)))) or 1.0
+    residual = float(np.max(np.abs(blas.dgemm(1.0, a, vectors)
+                                   - vectors * values)))
+    if not residual <= 1e-10 * norm:
         raise EigenSolverError(
-            f"eigenpair residual {residual:.3e} exceeds 1e-10 * ||M|| = {1e-10 * norm:.3e}"
+            f"eigenpair residual {residual:.3e} exceeds 1e-10 * ||A|| = {1e-10 * norm:.3e}"
         )
     return values, vectors
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from dwsplit import exact, models
 
@@ -39,11 +40,38 @@ class TestHermiteFunctions:
 
 class TestHamiltonian:
     def test_matched_harmonic_is_diagonal(self):
-        # -d2/dx2 + x^2/4 with length scale 2^(1/2): spectrum k + 1/2
+        # -d2/dx2 + x^2/4 with length scale 2^(1/2): spectrum k + 1/2,
+        # even k in one block and odd k in the other
         basis = exact.HermiteBasis(n_basis=16, length_scale=math.sqrt(2.0))
-        h = exact.build_hamiltonian(lambda x: 0.25 * x * x, basis).entries
-        expect = np.diag(np.arange(16) + 0.5)
-        assert np.allclose(h, expect, atol=1e-12)
+        h = exact.build_hamiltonian(lambda x: 0.25 * x * x, basis)
+        assert h.n == 16
+        assert np.allclose(h.even, np.diag(np.arange(0, 16, 2) + 0.5),
+                           atol=1e-12)
+        assert np.allclose(h.odd, np.diag(np.arange(1, 16, 2) + 0.5),
+                           atol=1e-12)
+
+    def test_blocks_match_full_quadrature(self):
+        # reference: the unfolded matrix over all 2n+32 Gauss-Hermite nodes
+        _, dv = closed_delta_v(0.3593)
+        basis = exact.HermiteBasis(n_basis=21, length_scale=0.8)
+        xi, w = roots_hermite(2 * 21 + 32)
+        table = exact.hermite_function_table(21, xi)
+        full = (table * (w * np.exp(xi * xi) * dv(0.8 * xi))) @ table.T
+        k = np.arange(21)
+        full[k, k] += (k + 0.5) / 0.64
+        off = -0.5 * np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0)) / 0.64
+        full[k[:-2], k[2:]] += off
+        full[k[2:], k[:-2]] += off
+        h = exact.build_hamiltonian(dv, basis)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(full[0::2, 1::2])) < 1e-12 * scale
+        assert np.allclose(h.even, full[0::2, 0::2], rtol=0, atol=1e-12 * scale)
+        assert np.allclose(h.odd, full[1::2, 1::2], rtol=0, atol=1e-12 * scale)
+
+    def test_rejects_non_even_potential(self):
+        basis = exact.HermiteBasis(n_basis=8, length_scale=1.0)
+        with pytest.raises(ValueError, match="even"):
+            exact.build_hamiltonian(lambda x: 0.25 * x * x + 0.1 * x, basis)
 
     def test_rejects_scalar_only_potential(self):
         basis = exact.HermiteBasis(n_basis=4, length_scale=1.0)
@@ -70,6 +98,18 @@ class TestKnownSpectra:
         assert res.e0 == pytest.approx(0.0, abs=1e-10)
         assert res.e1 == pytest.approx(1.0, rel=1e-10)
         assert res.e2 == pytest.approx(2.0, rel=1e-10)
+        assert res.converged
+
+    @pytest.mark.parametrize("n_start, n_max", [(3, 1024), (4, 8)])
+    def test_odd_and_tiny_bases(self, n_start, n_max):
+        # well_curvature 1/4 matches the basis to the oscillator, so every
+        # basis of 3 or more functions holds the levels 0, 1, 2 exactly
+        res = exact.exact_splitting(lambda x: 0.25 * x * x - 0.5,
+                                    well_location=0.0, well_curvature=0.25,
+                                    n_start=n_start, n_max=n_max)
+        assert [res.e0, res.e1, res.e2] == pytest.approx([0.0, 1.0, 2.0],
+                                                         abs=1e-12)
+        assert res.n_basis_used == 2 * n_start
         assert res.converged
 
     def test_double_well_against_grid_solver(self):

@@ -59,27 +59,11 @@ class TestFindRootBracketed:
             numerics.find_root_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)
 
 
-class TestSymmetricMatrix:
-    def test_symmetrizes_roundoff(self):
-        a = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
-        m = numerics.SymmetricMatrix(a)
-        assert np.array_equal(m.entries, m.entries.T)
-        assert m.n == 2
-
-    def test_rejects_gross_asymmetry(self):
-        with pytest.raises(ValueError):
-            numerics.SymmetricMatrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            numerics.SymmetricMatrix(np.zeros((2, 3)))
-
-
 class TestEigSymmetricLowest:
     def test_known_spectrum(self):
         # eigenvalues 1, 2, 4 by construction
         q, _ = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))
-        m = numerics.SymmetricMatrix(q @ np.diag([4.0, 1.0, 2.0]) @ q.T)
+        m = q @ np.diag([4.0, 1.0, 2.0]) @ q.T
         values, vectors = numerics.eig_symmetric_lowest(m, 2)
         assert values == pytest.approx([1.0, 2.0], rel=1e-12)
         assert vectors.shape == (3, 2)
@@ -87,10 +71,10 @@ class TestEigSymmetricLowest:
     def test_residuals_small(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((20, 20))
-        m = numerics.SymmetricMatrix(a + a.T)
+        m = a + a.T
         values, vectors = numerics.eig_symmetric_lowest(m, 3)
         for i in range(3):
-            r = m.entries @ vectors[:, i] - values[i] * vectors[:, i]
+            r = m @ vectors[:, i] - values[i] * vectors[:, i]
             assert np.max(np.abs(r)) < 1e-10 * max(np.abs(values).max(), 1.0)
 
 
