@@ -133,6 +133,11 @@ def _emit(args, columns, records, meta) -> None:
         rows = [_round12({c: r[c] for c in columns}) for r in records]
         text = json.dumps({"meta": _round12(meta), "rows": rows},
                           indent=2, sort_keys=True) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """Write text to args.output, or to stdout when no path is given."""
     if args.output:
         with open(args.output, "w", newline="\n") as fh:
             fh.write(text)
@@ -222,13 +227,8 @@ def cmd_split(args) -> int:
         flat["failures"] = "|".join(f"{k}={v}" for k, v in failures.items())
         _emit(args, columns, [flat], meta)
     else:
-        text = json.dumps({"meta": _round12(meta), **_round12(record)},
-                          indent=2, sort_keys=True) + "\n"
-        if args.output:
-            with open(args.output, "w", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, json.dumps({"meta": _round12(meta), **_round12(record)},
+                                indent=2, sort_keys=True) + "\n")
     if splittings:
         return 0
     print("all requested methods failed: "

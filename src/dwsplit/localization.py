@@ -16,20 +16,28 @@ a Rayleigh-Ritz style upper bound on the true deltaE1: g * rho_eq^(1/2) is
 the trial excited state orthogonal to the exact ground state rho_eq^(1/2).
 The bound tightens exponentially as the wells separate.
 
-The inner integral of 1/rho_eq is evaluated lazily: cumulative values are
-cached on a panel grid over [0, x_m] and each query only integrates the
-remainder inside one panel.
+All integrals use one 16-point Gauss-Legendre rule on P equal panels.  The
+panel sums of 1/rho_eq on [0, x_m] form a prefix array ending in I, and
+`_cumulative` adds the same rule on the rest of x's panel to give C(x) =
+integral_0^x dy / rho_eq for any array x: g on the panel nodes, where
+<g|rho_eq|g> is summed, and in `localization_g`.  P doubles from 8 until I
+and the norm settle to 1e-12 relative; NumericsError is raised past 4096
+panels or when either is not finite and positive (rho_eq underflow).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from . import numerics
 from .models import MeanFieldView
+
+_NODES, _WEIGHTS = roots_legendre(16)
+_PANELS = [8 << k for k in range(10)]  # 8, 16, ..., 4096
+_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,136 +48,68 @@ class LocalizationResult:
     i_value : the inverse-density integral I over [0, x_m], in x0^2 units.
     g_norm : <g| rho_eq |g>, slightly below one for separated wells.
     x_m : matching point used for g.
-    g_samples : optional (n, 2) table of (x, g(x)) when sampling was asked.
     """
 
     splitting: float
     i_value: float
     g_norm: float
     x_m: float
-    g_samples: Optional[np.ndarray] = None
 
 
-class _CumulativeInverseDensity:
-    """Memoized cumulative integral C(x) = integral_0^x dy / rho_eq(y).
-
-    The integrand is smooth but strongly peaked at the origin (it grows
-    like exp(U)), so panel totals are precomputed adaptively once and each
-    evaluation only adds a partial panel.  Instances are meant to live for
-    one estimation pass; they are not shared across threads.
-    """
-
-    def __init__(self, view: MeanFieldView, n_panels: int = 64):
-        self._f = lambda y: 1.0 / view.rho_eq(y)
-        self._edges = np.linspace(0.0, view.x_m, n_panels + 1)
-        # rough scale first so the panel tolerances can be anchored to it
-        ygrid = np.linspace(0.0, view.x_m, 2049)
-        rough = float(np.trapezoid(1.0 / view.rho_eq(ygrid), ygrid))
-        self._abs_tol = max(rough, 1.0) * 1e-15
-        totals = [
-            numerics.integrate_adaptive(self._f, a, b,
-                                        abs_tol=self._abs_tol, rel_tol=1e-12).value
-            for a, b in zip(self._edges[:-1], self._edges[1:])
-        ]
-        self._prefix = np.concatenate([[0.0], np.cumsum(totals)])
-
-    @property
-    def total(self) -> float:
-        return float(self._prefix[-1])
-
-    def value(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= self._edges[-1]:
-            return self.total
-        j = int(np.searchsorted(self._edges, x, side="right")) - 1
-        a = self._edges[j]
-        if x == a:
-            return float(self._prefix[j])
-        part = numerics.integrate_adaptive(self._f, a, x,
-                                           abs_tol=self._abs_tol,
-                                           rel_tol=1e-12).value
-        return float(self._prefix[j] + part)
+def _gauss(f, a, b):
+    """Gauss-Legendre integrals of f over [a, b], elementwise in a and b."""
+    half = 0.5 * (b - a)
+    return half * (f((a + half)[..., None] + half[..., None] * _NODES) @ _WEIGHTS)
 
 
-def i_integral(view: MeanFieldView, rel_tol: float = 1e-10) -> float:
-    """I = integral_0^{x_m} dy / rho_eq(y) by adaptive quadrature."""
-    res = numerics.integrate_adaptive(lambda y: 1.0 / view.rho_eq(y),
-                                      0.0, view.x_m,
-                                      abs_tol=1e-14, rel_tol=rel_tol)
-    return res.value
+def _cumulative(view: MeanFieldView, edges, prefix, x):
+    """C(x) = integral_0^x dy / rho_eq for 0 <= x <= x_m; prefix[j] = C(edges[j])."""
+    j = np.searchsorted(edges, x, side="right") - 1
+    return prefix[j] + _gauss(lambda y: 1.0 / view.rho_eq(y), edges[j], x)
 
 
-def localization_g(view: MeanFieldView, x, i_value: float):
-    """Evaluate the localization function g at x (scalar or array).
+def _settle(view: MeanFieldView):
+    """Panel edges, prefix sums of 1/rho_eq and <g|rho_eq|g> once settled."""
+    last = None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n in _PANELS:
+            edges = np.linspace(0.0, view.x_m, n + 1)
+            tail = np.linspace(view.x_m, view.domain_halfwidth, n + 1)
+            prefix = np.concatenate([[0.0], np.cumsum(
+                _gauss(lambda y: 1.0 / view.rho_eq(y), edges[:-1], edges[1:]))])
 
-    i_value must be the inverse-density integral for the same view; g is
-    odd, monotone nondecreasing and saturates at +-1 for |x| >= x_m.
-    """
-    if i_value <= 0.0:
-        raise ValueError(f"i_value must be positive, got {i_value}")
+            def g2rho(y):
+                g = np.minimum(_cumulative(view, edges, prefix, y) / prefix[-1], 1.0)
+                return g * g * view.rho_eq(y)
 
-    def scalar_g(xs: float) -> float:
-        ax = abs(xs)
-        if ax >= view.x_m:
-            return float(np.sign(xs)) if xs != 0.0 else 0.0
-        c = numerics.integrate_adaptive(lambda y: 1.0 / view.rho_eq(y),
-                                        0.0, ax,
-                                        abs_tol=1e-14, rel_tol=1e-10).value if ax > 0 else 0.0
-        return float(np.sign(xs)) * min(c / i_value, 1.0)
-
-    if np.ndim(x) == 0:
-        return scalar_g(float(x))
-    cum = _CumulativeInverseDensity(view)
-    out = np.empty(np.shape(x), dtype=float)
-    flat_x = np.asarray(x, dtype=float).ravel()
-    flat_o = out.ravel()
-    for i, xs in enumerate(flat_x):
-        ax = abs(xs)
-        if ax >= view.x_m:
-            flat_o[i] = np.sign(xs)
-        else:
-            flat_o[i] = np.sign(xs) * min(cum.value(ax) / i_value, 1.0)
-    return out
+            # integrand is even: double the half-line result
+            g_norm = 2.0 * (_gauss(g2rho, edges[:-1], edges[1:]).sum()
+                            + _gauss(view.rho_eq, tail[:-1], tail[1:]).sum())
+            current = np.array([prefix[-1], g_norm])
+            for name, value in zip(("integral I", "norm <g|rho_eq|g>"), current):
+                if not (np.isfinite(value) and value > 0.0):
+                    raise numerics.NumericsError(
+                        f"{name} is not finite and positive: {value} ({view.label})")
+            if last is not None and np.all(abs(current - last) <= _REL_TOL * current):
+                return edges, prefix, float(g_norm)
+            last = current
+    raise numerics.NumericsError(
+        f"localization integrals not settled to {_REL_TOL:g} relative with "
+        f"{_PANELS[-1]} panels ({view.label})")
 
 
-def splitting_localization(view: MeanFieldView, rel_tol: float = 1e-10,
-                           sample_g: bool = False) -> LocalizationResult:
-    """Localization-function upper bound on the tunneling splitting.
+def localization_g(view: MeanFieldView, x):
+    """g at x (scalar or array): odd, nondecreasing, +-1 for |x| >= x_m."""
+    edges, prefix, _ = _settle(view)
+    x = np.asarray(x, dtype=float)
+    c = _cumulative(view, edges, prefix, np.minimum(np.abs(x), view.x_m))
+    g = np.sign(x) * np.minimum(c / prefix[-1], 1.0)
+    return float(g) if g.ndim == 0 else g
 
-    Both g and the norm <g|rho_eq|g> are evaluated from one cumulative
-    cache so that g(x_m) = 1 holds exactly by construction.  The tail
-    contribution beyond x_m (where g = +-1) is the plain density mass.
-    """
-    cum = _CumulativeInverseDensity(view)
-    i_value = cum.total
-    if not np.isfinite(i_value) or i_value <= 0.0:
-        raise numerics.NumericsError(f"inverse-density integral invalid: {i_value}")
 
-    def g2rho(x: float) -> float:
-        g = min(cum.value(x) / i_value, 1.0)
-        return g * g * view.rho_eq(x)
-
-    inner = numerics.integrate_adaptive(g2rho, 0.0, view.x_m,
-                                        abs_tol=1e-13, rel_tol=rel_tol)
-    tail = numerics.integrate_adaptive(view.rho_eq, view.x_m,
-                                       view.domain_halfwidth,
-                                       abs_tol=1e-13, rel_tol=rel_tol)
-    # integrand is even: double the half-line result
-    g_norm = 2.0 * (inner.value + tail.value)
-    splitting = 2.0 * view.x0**2 / (i_value * g_norm)
-
-    samples = None
-    if sample_g:
-        xs = np.linspace(-view.domain_halfwidth, view.domain_halfwidth, 513)
-        gs = np.empty_like(xs)
-        for i, xv in enumerate(xs):
-            ax = abs(xv)
-            if ax >= view.x_m:
-                gs[i] = np.sign(xv)
-            else:
-                gs[i] = np.sign(xv) * min(cum.value(ax) / i_value, 1.0)
-        samples = np.column_stack([xs, gs])
-
-    return LocalizationResult(splitting=splitting, i_value=i_value,
-                              g_norm=g_norm, x_m=view.x_m, g_samples=samples)
+def splitting_localization(view: MeanFieldView) -> LocalizationResult:
+    """Localization-function upper bound on the tunneling splitting."""
+    _, prefix, g_norm = _settle(view)
+    i_value = float(prefix[-1])
+    return LocalizationResult(splitting=2.0 * view.x0**2 / (i_value * g_norm),
+                              i_value=i_value, g_norm=g_norm, x_m=view.x_m)

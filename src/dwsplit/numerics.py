@@ -3,8 +3,10 @@
 Thin, contract-enforcing wrappers around QUADPACK adaptive quadrature
 (Gauss-Kronrod with interval bisection), Brent bracketed root finding and
 LAPACK symmetric eigensolvers, plus a small central-difference helper.
-Every other module routes its quadrature, root finding and diagonalization
-through this one so that tolerances and failure modes are uniform.
+Other modules route their adaptive quadrature, root finding and
+diagonalization through this one so that tolerances and failure modes are
+uniform; fixed rules live where they are used (the Gauss-Hermite rule in
+`exact`, the Gauss-Legendre panels in `localization`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dwsplit import exact, localization, models
+from dwsplit import exact, experiments, localization, models, numerics
 
 from helpers import trapezoid_localization
 
@@ -13,14 +13,27 @@ def reference_view(sigma=0.3593, alpha=1.0):
     return models.meanfield_view(model)
 
 
+def assert_matches_trapezoid_route(view):
+    res = localization.splitting_localization(view)
+    split_ref, i_ref, norm_ref = trapezoid_localization(view)
+    assert res.splitting == pytest.approx(split_ref, rel=1e-9)
+    assert res.i_value == pytest.approx(i_ref, rel=1e-9)
+    assert res.g_norm == pytest.approx(norm_ref, rel=1e-9)
+
+
 class TestAgainstDenseOracle:
     def test_matches_trapezoid_route(self):
-        view = reference_view()
-        res = localization.splitting_localization(view)
-        split_ref, i_ref, norm_ref = trapezoid_localization(view)
-        assert res.splitting == pytest.approx(split_ref, rel=1e-9)
-        assert res.i_value == pytest.approx(i_ref, rel=1e-9)
-        assert res.g_norm == pytest.approx(norm_ref, rel=1e-9)
+        assert_matches_trapezoid_route(reference_view())
+
+    @pytest.mark.parametrize("model", [
+        models.QuarticMeanFieldModel(du=5.0),
+        models.QuarticMeanFieldModel(du=30.0),
+        models.TwoGaussianModel(sigma=experiments.sigma_for_du(30.0)),
+        models.TwoGaussianModel(sigma=experiments.sigma_for_du(40.0)),
+    ], ids=["quartic-du5", "quartic-du30", "two_gaussian-du30",
+            "two_gaussian-du40"])
+    def test_matches_trapezoid_route_high_barriers(self, model):
+        assert_matches_trapezoid_route(models.meanfield_view(model))
 
     def test_matches_oracle_for_narrow_wells(self):
         # deep barrier: integrand of I spans ~5 decades, bound ~1e-4
@@ -31,12 +44,6 @@ class TestAgainstDenseOracle:
 
 
 class TestIngredients:
-    def test_i_integral_consistent_with_result(self):
-        view = reference_view()
-        res = localization.splitting_localization(view)
-        assert localization.i_integral(view) == pytest.approx(
-            res.i_value, rel=1e-10)
-
     def test_splitting_identity(self):
         view = reference_view(sigma=0.31)
         res = localization.splitting_localization(view)
@@ -56,35 +63,40 @@ class TestIngredients:
 class TestLocalizationFunction:
     def test_odd_and_clipped(self):
         view = reference_view()
-        i_val = localization.i_integral(view)
         xs = np.linspace(-2.5, 2.5, 41)
-        g = localization.localization_g(view, xs, i_val)
+        g = localization.localization_g(view, xs)
         assert np.allclose(g, -g[::-1], atol=1e-12)
         assert np.all(np.abs(g) <= 1.0)
         assert g[0] == -1.0 and g[-1] == 1.0
 
     def test_monotone_and_saturating(self):
         view = reference_view()
-        i_val = localization.i_integral(view)
         xs = np.linspace(0.0, view.x_m, 30)
-        g = localization.localization_g(view, xs, i_val)
+        g = localization.localization_g(view, xs)
         assert np.all(np.diff(g) >= 0.0)
         assert g[0] == 0.0
         assert g[-1] == pytest.approx(1.0, abs=1e-9)
-        assert localization.localization_g(view, view.x_m + 0.1, i_val) == 1.0
+        assert localization.localization_g(view, view.x_m + 0.1) == 1.0
 
     def test_scalar_matches_vector(self):
         view = reference_view()
-        i_val = localization.i_integral(view)
         for xv in (-0.7, 0.0, 0.4, 1.3):
-            scalar = localization.localization_g(view, xv, i_val)
-            vector = localization.localization_g(view, np.array([xv]), i_val)
+            scalar = localization.localization_g(view, xv)
+            vector = localization.localization_g(view, np.array([xv]))
+            assert isinstance(scalar, float)
             assert scalar == pytest.approx(float(vector[0]), rel=1e-12, abs=1e-15)
 
-    def test_rejects_bad_i_value(self):
-        view = reference_view()
-        with pytest.raises(ValueError, match="positive"):
-            localization.localization_g(view, 0.5, 0.0)
+
+class TestUnderflow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", [
+        models.QuarticMeanFieldModel(du=800.0),
+        models.TwoGaussianModel(sigma=0.025),
+    ], ids=["quartic-du800", "two_gaussian-sigma0.025"])
+    def test_density_underflow_at_barrier_raises(self, model):
+        view = models.meanfield_view(model)
+        with pytest.raises(numerics.NumericsError, match="integral I"):
+            localization.splitting_localization(view)
 
 
 class TestBoundProperty:
@@ -109,14 +121,3 @@ class TestResultObject:
         assert a.splitting == b.splitting
         assert a.i_value == b.i_value
         assert a.g_norm == b.g_norm
-
-    def test_g_samples_only_on_request(self):
-        view = reference_view()
-        plain = localization.splitting_localization(view)
-        assert plain.g_samples is None
-        sampled = localization.splitting_localization(view, sample_g=True)
-        assert sampled.g_samples is not None
-        assert sampled.g_samples.shape[1] == 2
-        xs, gs = sampled.g_samples[:, 0], sampled.g_samples[:, 1]
-        assert xs[0] == -view.domain_halfwidth
-        assert np.all(np.abs(gs) <= 1.0)
