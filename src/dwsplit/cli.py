@@ -182,10 +182,11 @@ def cmd_split(args) -> int:
     if "exact" in methods:
         try:
             res = exact.exact_splitting(dv_func, model.x0, curv_min)
-            splittings["exact"] = res.splitting
             diagnostics["n_basis"] = res.n_basis_used
             diagnostics["ground_level"] = res.e0
-            if not res.converged:
+            if res.converged:
+                splittings["exact"] = res.splitting
+            else:
                 failures["exact"] = "basis not converged"
         except (ValueError, ArithmeticError, numerics.NumericsError) as err:
             failures["exact"] = f"{type(err).__name__}: {err}"

@@ -124,13 +124,9 @@ class TwoGaussianModel:
         """N making the density integrate to one (close to unity in range)."""
         halfwidth = self.x0 + 10.0 * self.sigma
         pref = 1.0 / math.sqrt(8.0 * math.pi * self.sigma**2)
-
-        def base(x):
-            return pref * math.exp(-_two_gaussian_u(self, x))
-
-        res = numerics.integrate_adaptive(base, -halfwidth, halfwidth,
-                                          abs_tol=1e-14, rel_tol=1e-11)
-        return 1.0 / res.value
+        return 1.0 / numerics.integrate_panels(
+            lambda x: pref * np.exp(-_two_gaussian_u(self, x)),
+            -halfwidth, halfwidth)
 
 
 @dataclass(frozen=True)
@@ -448,9 +444,8 @@ def quartic_meanfield(model: QuarticMeanFieldModel) -> MeanFieldView:
     def u_raw(x):
         return quartic_potential(model, x)
 
-    z = numerics.integrate_adaptive(lambda x: math.exp(-u_raw(x)),
-                                    -halfwidth, halfwidth,
-                                    abs_tol=1e-14, rel_tol=1e-11).value
+    z = numerics.integrate_panels(lambda x: np.exp(-u_raw(x)),
+                                  -halfwidth, halfwidth)
 
     def rho(x):
         x_arr = np.asarray(x, dtype=float)

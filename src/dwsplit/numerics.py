@@ -1,117 +1,70 @@
 """Shared double-precision numerical kernels.
 
-Thin, contract-enforcing wrappers around QUADPACK adaptive quadrature
-(Gauss-Kronrod with interval bisection), Brent bracketed root finding and
-LAPACK symmetric eigensolvers, plus a small central-difference helper.
-Other modules route their adaptive quadrature, root finding and
-diagonalization through this one so that tolerances and failure modes are
-uniform; fixed rules live where they are used (the Gauss-Hermite rule in
-`exact`, the Gauss-Legendre panels in `localization`).
+One quadrature rule serves every integral in the package: a 16-point
+Gauss-Legendre rule on P equal panels (`gauss_panels` sums it panel by
+panel, `integrate_panels` doubles P from 8 until two successive sums agree
+to 1e-12 relative).  The integrands are analytic, so the panel sums
+converge geometrically in P.  Besides the rule there are a bracketed root
+finder (Illinois false position), the LAPACK symmetric eigensolver and a
+small central-difference helper.  The Gauss-Hermite rule stays in `exact`,
+where it is used.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, linalg, optimize
+from scipy import linalg
 from scipy.linalg import blas
+
+NODES, WEIGHTS = np.polynomial.legendre.leggauss(16)
+PANELS = [8 << k for k in range(10)]  # 8, 16, ..., 4096
+REL_TOL = 1e-12
 
 
 class NumericsError(RuntimeError):
     """Base class for failures of the numerical kernels."""
 
 
-class QuadratureError(NumericsError):
-    """Adaptive quadrature did not reach the requested tolerance.
-
-    Carries the best estimate reached so far and its error estimate, so a
-    caller can decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message: str, best_value: float, error_estimate: float):
-        super().__init__(message)
-        self.best_value = best_value
-        self.error_estimate = error_estimate
-
-
 class RootBracketError(NumericsError):
-    """Root finding failed: invalid bracket or no convergence."""
+    """Root finding failed: the bracket does not change sign."""
 
 
 class EigenSolverError(NumericsError):
     """Symmetric eigensolver failed or produced residuals above tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Outcome of one adaptive integration.
-
-    value: the integral estimate.
-    error_estimate: nested-rule estimate of the absolute error, >= 0.
-    evaluations: number of integrand evaluations spent.
-    """
-
-    value: float
-    error_estimate: float
-    evaluations: int
+def gauss_panels(f, a, b):
+    """Gauss-Legendre integrals of a vectorized f over [a, b], elementwise in a, b."""
+    half = 0.5 * (b - a)
+    return half * (f((a + half)[..., None] + half[..., None] * NODES) @ WEIGHTS)
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    max_subdivisions: int = 200,
-) -> QuadratureResult:
-    """Integrate f over [a, b] with adaptive Gauss-Kronrod quadrature.
+def integrate_panels(f: Callable, a: float, b: float) -> float:
+    """Integral of a vectorized f over [a, b] on P equal Gauss-Legendre panels.
 
-    Parameters
-    ----------
-    f : callable
-        Integrand, finite on [a, b].
-    a, b : float
-        Integration limits, a < b.
-    abs_tol, rel_tol : float
-        Requested absolute and relative tolerances; the target is
-        max(abs_tol, rel_tol * |integral|).
-    max_subdivisions : int
-        Subinterval budget handed to the adaptive subdivision.
-
-    Returns
-    -------
-    QuadratureResult
+    P doubles along PANELS until two successive sums agree to REL_TOL
+    relative.
 
     Raises
     ------
-    QuadratureError
-        If the tolerance is not met within the subdivision budget.  The
-        exception carries the best estimate and its error estimate.
+    NumericsError
+        If a sum is not finite, or the sums have not settled at the last
+        panel count.
     """
-    if not (a < b):
-        raise ValueError(f"invalid interval: need a < b, got a={a}, b={b}")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise ValueError("tolerances must be positive")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(
-            f, a, b,
-            epsabs=abs_tol, epsrel=rel_tol,
-            limit=max_subdivisions, full_output=True,
-        )
-    value, abserr, info = out[0], out[1], out[2]
-    if len(out) > 3 or not np.isfinite(value):
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] did not converge: "
-            f"best estimate {value:.16e}, error estimate {abserr:.3e}",
-            best_value=value, error_estimate=abserr,
-        )
-    return QuadratureResult(value=value, error_estimate=abserr,
-                            evaluations=int(info["neval"]))
+    last = None
+    for n in PANELS:
+        edges = np.linspace(a, b, n + 1)
+        value = float(gauss_panels(f, edges[:-1], edges[1:]).sum())
+        if not np.isfinite(value):
+            raise NumericsError(f"integral over [{a}, {b}] is not finite: {value}")
+        if last is not None and abs(value - last) <= REL_TOL * abs(value):
+            return value
+        last = value
+    raise NumericsError(
+        f"integral over [{a}, {b}] not settled to {REL_TOL:g} relative with "
+        f"{PANELS[-1]} panels")
 
 
 def find_root_bracketed(
@@ -119,16 +72,22 @@ def find_root_bracketed(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Locate the root of f inside a sign-changing bracket [lo, hi].
 
-    Uses Brent's method.  The bracket must satisfy f(lo) * f(hi) <= 0.
+    Illinois false position: the secant through the bracket ends, with the
+    kept end's value halved whenever the same end is kept twice in a row.
+    A step bisects instead when the last two steps did not halve the
+    bracket, so the bracket at least halves every three steps.  Each new
+    point stays tol/2 inside the bracket, so an end that has reached the
+    root pulls the other end across it.  Stops once the bracket is
+    narrower than tol plus a few ulps and returns the newest end.  The
+    bracket must satisfy f(lo) * f(hi) <= 0.
 
     Raises
     ------
     RootBracketError
-        If the bracket does not change sign or iteration fails to converge.
+        If the bracket does not change sign.
     """
     if not (lo < hi):
         raise ValueError(f"invalid bracket: need lo < hi, got lo={lo}, hi={hi}")
@@ -144,14 +103,30 @@ def find_root_bracketed(
             f"no sign change on bracket [{lo}, {hi}]: "
             f"f(lo)={f_lo:.6e}, f(hi)={f_hi:.6e}"
         )
-    root, info = optimize.brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
-                                 maxiter=max_iter, full_output=True)
-    if not info.converged:
-        raise RootBracketError(
-            f"Brent iteration did not converge on [{lo}, {hi}] "
-            f"after {max_iter} iterations"
-        )
-    return float(root)
+    x, kept, widths = lo, 0, (np.inf, np.inf)
+    while True:
+        step = 0.5 * tol + 2.0 * np.finfo(float).eps * abs(x)
+        if hi - lo <= 2.0 * step:
+            return float(x)
+        if hi - lo > 0.5 * widths[0]:
+            x = 0.5 * (lo + hi)
+        else:
+            x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + step),
+                    hi - step)
+        widths = (widths[1], hi - lo)
+        fx = f(x)
+        if fx == 0.0:
+            return float(x)
+        if np.sign(fx) == np.sign(f_hi):
+            hi, f_hi = x, fx
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+        else:
+            lo, f_lo = x, fx
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
 
 
 def eig_symmetric_lowest(a: np.ndarray, k: int):

@@ -13,20 +13,20 @@ of one well and feeding the matched state through the surface (Wronskian)
 formula for the splitting of a symmetric pair; it replaces the cruder
 textbook prefactor omega / pi.
 
-Near the turning points +-x_t the integrand has a square-root zero with
-unbounded slope.  Inside a window of width ``window_fraction * x_t`` the
-locally linearized potential is subtracted analytically,
+The substitution x = x_t (1 - u^2) turns the half-barrier integral into
 
-    integral_{x_t - d}^{x_t} sqrt(s (x_t - x)) dx = (2/3) sqrt(s) d^(3/2),
-    s = -deltaV'(x_t),
+    integral_0^{x_t} sqrt(deltaV - E) dx
+        = integral_0^1 sqrt(deltaV(x_t (1 - u^2)) - E) 2 x_t u du,
 
-leaving a bounded, well-behaved remainder for adaptive quadrature.  The
-result is window independent up to quadrature error.
+whose integrand vanishes linearly at the turning point (u = 0) instead of
+as a square root, so the Gauss-Legendre panels of `numerics` converge on
+it geometrically.  deltaV must accept numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,51 +65,29 @@ class WkbResult:
             raise ValueError(f"action must be positive, got {self.action}")
 
 
-def barrier_action(
-    delta_v: Callable,
-    energy: float,
-    turning_point: float,
-    window_fraction: float = 0.5,
-    rel_tol: float = 1e-10,
-) -> float:
-    """Theta = 2 * integral_0^{x_t} sqrt(deltaV - E) dx with regularization.
+def barrier_action(delta_v: Callable, energy: float, turning_point: float) -> float:
+    """Theta = 2 * integral_0^{x_t} sqrt(deltaV - E) dx, with x = x_t (1 - u^2).
 
-    The caller guarantees deltaV > E on (0, x_t) and deltaV(x_t) = E.
-    window_fraction in (0, 1) sets the subtraction window next to the
-    turning point.
+    The caller guarantees deltaV(x_t) = E; deltaV - E < 0 anywhere on the
+    quadrature nodes inside (0, x_t) raises ValueError.
     """
-    if not (0.0 < window_fraction < 1.0):
-        raise ValueError("window_fraction must lie in (0, 1)")
     x_t = turning_point
-    d = window_fraction * x_t
-    slope = -numerics.derivative_central(delta_v, x_t, order=1,
-                                         h=1e-6 * max(1.0, x_t))
-    if slope <= 0.0:
-        raise ValueError(
-            f"potential must fall through the turning point, got slope "
-            f"{-slope:.3e}"
-        )
 
-    def integrand_smooth(x: float) -> float:
-        return math.sqrt(max(delta_v(x) - energy, 0.0))
+    def integrand(u):
+        excess = delta_v(x_t * (1.0 - u * u)) - energy
+        if np.any(excess < 0.0):
+            raise ValueError(
+                f"potential must fall through the turning point: deltaV - E "
+                f"reaches {np.min(excess):.3e} inside (0, {x_t:.6g})")
+        return np.sqrt(excess) * (2.0 * x_t * u)
 
-    def integrand_regularized(x: float) -> float:
-        lin = slope * (x_t - x)
-        return math.sqrt(max(delta_v(x) - energy, 0.0)) - math.sqrt(max(lin, 0.0))
-
-    outer = numerics.integrate_adaptive(integrand_smooth, 0.0, x_t - d,
-                                        abs_tol=1e-13, rel_tol=rel_tol)
-    inner = numerics.integrate_adaptive(integrand_regularized, x_t - d, x_t,
-                                        abs_tol=1e-13, rel_tol=rel_tol)
-    closed = (2.0 / 3.0) * math.sqrt(slope) * d**1.5
-    return 2.0 * (outer.value + inner.value + closed)
+    return 2.0 * numerics.integrate_panels(integrand, 0.0, 1.0)
 
 
 def wkb_splitting(
     delta_v: Callable,
     curvature_min: float,
     x_min: float,
-    window_fraction: float = 0.5,
 ) -> WkbResult:
     """Ground-level semiclassical splitting of a symmetric double well.
 
@@ -128,6 +106,8 @@ def wkb_splitting(
     WkbInapplicableError
         If the ground level deltaV(x_min) + omega/2 reaches the barrier
         top, leaving no classically forbidden region.
+    NumericsError
+        If exp(-Theta) underflows, so the splitting is not a normal float.
     """
     if curvature_min <= 0:
         raise ValueError(f"curvature_min must be positive, got {curvature_min}")
@@ -145,7 +125,11 @@ def wkb_splitting(
 
     x_t = numerics.find_root_bracketed(
         lambda x: float(delta_v(x)) - energy, 0.0, x_min, tol=1e-14 * x_min)
-    action = barrier_action(delta_v, energy, x_t, window_fraction)
+    action = barrier_action(delta_v, energy, x_t)
     splitting = omega / math.sqrt(math.pi * math.e) * math.exp(-action)
+    if splitting < sys.float_info.min:
+        raise numerics.NumericsError(
+            f"exp(-Theta) underflows at action {action:.6g}: splitting "
+            f"{splitting:.3e} is below the smallest normal float")
     return WkbResult(splitting=splitting, action=action, energy=energy,
                      turning_points=(-x_t, x_t), well_frequency=omega)

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +40,15 @@ class TestTopLevel:
         assert code == 0
         for name in ("split", "sweep", "table1", "profile"):
             assert name in out
+
+    def test_import_skips_scipy_integrate_and_optimize(self):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import dwsplit.cli, sys; print(sorted(m for m in sys.modules "
+                 "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestSplit:
@@ -77,6 +90,19 @@ class TestSplit:
         code, _, err = run(capsys, "split", "--sigma", "1.02",
                            "--allow-out-of-range", "--methods", "wkb")
         assert code == 2
+        assert "failed" in err
+
+    def test_sharp_wells_fail_every_method(self, capsys):
+        # the basis ladder does not settle, rho_eq underflows at the barrier
+        # and exp(-Theta) underflows: nothing may enter splittings
+        code, out, err = run(capsys, "split", "--alpha", "1",
+                             "--sigma", "0.025")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["splittings"] == {}
+        assert set(doc["failures"]) == {"exact", "localization", "wkb"}
+        assert doc["failures"]["exact"] == "basis not converged"
+        assert "n_basis" in doc["diagnostics"]
         assert "failed" in err
 
     def test_csv_format(self, capsys):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from dwsplit import models, numerics
+from dwsplit import models
 
 LN2 = math.log(2.0)
 
@@ -43,9 +44,9 @@ class TestTwoGaussianModel:
 
     def test_rho_integrates_to_one(self):
         m = table_model(2.0)
-        total = numerics.integrate_adaptive(
-            lambda x: models.rho_eq(m, x),
-            -m.x0 - 10 * m.sigma, m.x0 + 10 * m.sigma).value
+        total, _ = quad(lambda x: models.rho_eq(m, x),
+                        -m.x0 - 10 * m.sigma, m.x0 + 10 * m.sigma,
+                        epsabs=1e-12, epsrel=1e-10)
         assert total == pytest.approx(1.0, rel=1e-9)
 
 
@@ -172,8 +173,8 @@ class TestQuartic:
 
     def test_view_density_normalized(self):
         view = models.quartic_meanfield(models.QuarticMeanFieldModel(du=2.0))
-        total = numerics.integrate_adaptive(
-            view.rho_eq, -view.domain_halfwidth, view.domain_halfwidth).value
+        total, _ = quad(view.rho_eq, -view.domain_halfwidth,
+                        view.domain_halfwidth, epsabs=1e-12, epsrel=1e-10)
         assert total == pytest.approx(1.0, rel=1e-8)
 
 

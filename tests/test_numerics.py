@@ -9,41 +9,44 @@ from dwsplit import numerics
 
 
 class TestIntegrateAdaptive:
+    """integrate_panels: the panel count doubles until two sums agree."""
+
     def test_polynomial_exact(self):
-        res = numerics.integrate_adaptive(lambda x: 3.0 * x**2, 0.0, 2.0)
-        assert res.value == pytest.approx(8.0, rel=1e-12)
-        assert res.error_estimate < 1e-8
-        assert res.evaluations > 0
+        # 16 nodes per panel integrate degree <= 31 exactly
+        value = numerics.integrate_panels(lambda x: 3.0 * x**2 - x**31, 0.0, 2.0)
+        assert value == pytest.approx(8.0 - 2.0**32 / 32.0, rel=1e-14)
 
     def test_sine_halfperiod(self):
-        res = numerics.integrate_adaptive(math.sin, 0.0, math.pi)
-        assert res.value == pytest.approx(2.0, rel=1e-12)
+        value = numerics.integrate_panels(np.sin, 0.0, math.pi)
+        assert value == pytest.approx(2.0, rel=1e-13)
 
     def test_linearity(self):
-        f = lambda x: math.exp(-x * x)
+        f = lambda x: np.exp(-x * x)
         g = lambda x: x**4
         a, b = -1.0, 2.0
-        lhs = numerics.integrate_adaptive(
-            lambda x: 2.5 * f(x) - 0.5 * g(x), a, b).value
-        rhs = (2.5 * numerics.integrate_adaptive(f, a, b).value
-               - 0.5 * numerics.integrate_adaptive(g, a, b).value)
+        lhs = numerics.integrate_panels(lambda x: 2.5 * f(x) - 0.5 * g(x), a, b)
+        rhs = (2.5 * numerics.integrate_panels(f, a, b)
+               - 0.5 * numerics.integrate_panels(g, a, b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_interval_additivity(self):
         f = lambda x: 1.0 / (1.0 + x * x)
-        whole = numerics.integrate_adaptive(f, 0.0, 3.0).value
-        split = (numerics.integrate_adaptive(f, 0.0, 1.2).value
-                 + numerics.integrate_adaptive(f, 1.2, 3.0).value)
+        whole = numerics.integrate_panels(f, 0.0, 3.0)
+        split = (numerics.integrate_panels(f, 0.0, 1.2)
+                 + numerics.integrate_panels(f, 1.2, 3.0))
         assert whole == pytest.approx(split, rel=1e-12)
+        assert whole == pytest.approx(math.atan(3.0), rel=1e-12)
 
-    def test_failure_carries_best_value(self):
-        # few subdivisions on a rapidly oscillating integrand force the
-        # library warning path
-        f = lambda x: math.sin(1.0 / (x + 1e-4))
-        with pytest.raises(numerics.QuadratureError) as err:
-            numerics.integrate_adaptive(f, 0.0, 1.0, max_subdivisions=2)
-        assert math.isfinite(err.value.best_value)
-        assert err.value.error_estimate > 0
+    def test_unsettled_integral_raises(self):
+        # ~1e3 oscillations inside the first of 4096 panels
+        f = lambda x: np.sin(1.0 / (x + 1e-4))
+        with pytest.raises(numerics.NumericsError, match=r"\[0.0, 1.0\]"):
+            numerics.integrate_panels(f, 0.0, 1.0)
+
+    def test_non_finite_integral_raises(self):
+        with pytest.raises(numerics.NumericsError, match="not finite"):
+            numerics.integrate_panels(lambda x: np.where(x > 0.5, np.inf, 1.0),
+                                      0.0, 1.0)
 
 
 class TestFindRootBracketed:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from dwsplit import exact, experiments, models, wkb
+from dwsplit import exact, experiments, models, numerics, wkb
 
 
 def deep_well(delta_v_height=30.0, width=0.5):
@@ -45,15 +46,15 @@ class TestTurningPoints:
 
 
 class TestAction:
-    def test_window_independence(self):
-        # regularization must not move the result beyond quadrature error
+    def test_matches_quad_oracle(self):
+        # scipy's adaptive quadrature of the unsubstituted integrand
         model, dv = deep_well()
-        res_half = wkb.wkb_splitting(dv, models.curvature_at_minima(model),
-                                     model.x0, window_fraction=0.5)
-        res_quarter = wkb.wkb_splitting(dv, models.curvature_at_minima(model),
-                                        model.x0, window_fraction=0.25)
-        assert res_half.action == pytest.approx(res_quarter.action,
-                                                rel=1e-8)
+        res = wkb.wkb_splitting(dv, models.curvature_at_minima(model),
+                                model.x0)
+        x_t = res.turning_points[1]
+        half, _ = quad(lambda x: math.sqrt(max(dv(x) - res.energy, 0.0)),
+                       0.0, x_t, epsabs=1e-13, epsrel=1e-12, limit=200)
+        assert res.action == pytest.approx(2.0 * half, rel=1e-9)
 
     def test_action_grows_with_barrier(self):
         actions = []
@@ -64,11 +65,6 @@ class TestAction:
             actions.append(res.action)
         assert actions[0] < actions[1] < actions[2]
         assert all(a > 0 for a in actions)
-
-    def test_window_fraction_validated(self):
-        model, dv = deep_well()
-        with pytest.raises(ValueError, match="window_fraction"):
-            wkb.barrier_action(dv, 1.0, 0.5, window_fraction=1.5)
 
     def test_rejects_rising_turning_point(self):
         # slope has the wrong sign on the outer face of the barrier
@@ -111,6 +107,16 @@ class TestApplicabilityLimits:
             wkb.wkb_splitting(dv, -8.0, 1.0)
         with pytest.raises(ValueError, match="x_min"):
             wkb.wkb_splitting(dv, 8.0, -1.0)
+
+
+class TestUnderflow:
+    def test_underflowing_barrier_factor_raises(self):
+        # action ~796: exp(-Theta) is below the smallest float
+        model = models.TwoGaussianModel(sigma=0.025)
+        dv = lambda x: models.quantum_potential_closed(model, x)
+        with pytest.raises(numerics.NumericsError, match="action 79"):
+            wkb.wkb_splitting(dv, models.curvature_at_minima(model),
+                              model.x0)
 
 
 class TestAccuracyRegime:
