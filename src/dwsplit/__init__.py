@@ -9,8 +9,8 @@ operator -d2/dx2 + deltaV(x) (reduced units, energies in E_u):
 * wkb: a semiclassical baseline with turning points at the well ground level.
 
 See the ``models`` module for the double-well families and ``experiments``
-for parameter sweeps and table generation.  The ``dwsplit`` console script
-exposes all of it from the command line.
+for the row evaluator, parameter sweeps and table generation.  The
+``dwsplit`` console script exposes all of it from the command line.
 """
 
 from .models import (

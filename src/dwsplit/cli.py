@@ -1,9 +1,11 @@
 """Command-line surface: split | sweep | table1 | profile.
 
 All I/O uses reduced units (lengths in x0, energies in E_u, mean-field
-potential in kT).  Output formats are CSV (comma-separated, metadata in
-``#``-prefixed lines, LF line endings) and JSON (one object with "meta"
-and "rows").  Numbers are serialized with 12 significant digits.
+potential in kT).  ``split`` and ``sweep`` serialize rows of
+``experiments.evaluate`` as CSV (comma-separated, metadata in ``#``-prefixed
+lines, LF line endings) or JSON (``sweep``: "meta" and "rows"; ``split``:
+"meta", the row, its diagnostics and the validity warnings).  Numbers are
+serialized with 12 significant digits.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 numerical failure.
 """
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, exact, experiments, localization, models, numerics, wkb
+from . import __version__, experiments, models, numerics
 
 UNIT_NOTE = """\
 Reduced units: lengths in x0 (half the well separation), energies in
@@ -34,6 +36,10 @@ SWEEP_COLUMNS = (
     "width", "overlap", "splitting_exact", "splitting_localization",
     "splitting_wkb", "relerr_localization", "relerr_wkb", "failures",
 )
+
+SPLIT_COLUMNS = ("alpha", "sigma", "x0", "delta_u", "delta_v", "width",
+                 "overlap", "splitting_exact", "splitting_localization",
+                 "splitting_wkb", "failures")
 
 _FAMILY_TAGS = {
     "simple-du": "simple_gaussian_dU",
@@ -166,74 +172,20 @@ def cmd_split(args) -> int:
             sigma=args.sigma, x0=args.x0, alpha=args.alpha,
             allow_out_of_range=args.allow_out_of_range)
 
-    heights = models.barrier_heights(model)
-    try:
-        width = models.barrier_width(model)
-    except ValueError:
-        width = None
-    view = models.two_gaussian_meanfield(model)
-    dv_func = lambda x: models.quantum_potential_closed(model, x)
-    curv_min = models.curvature_at_minima(model)
-
-    methods = args.methods
-    splittings: dict[str, float] = {}
-    failures: dict[str, str] = {}
-    diagnostics: dict[str, object] = {}
-    if "exact" in methods:
-        try:
-            res = exact.exact_splitting(dv_func, model.x0, curv_min)
-            diagnostics["n_basis"] = res.n_basis_used
-            diagnostics["ground_level"] = res.e0
-            if res.converged:
-                splittings["exact"] = res.splitting
-            else:
-                failures["exact"] = "basis not converged"
-        except (ValueError, ArithmeticError, numerics.NumericsError) as err:
-            failures["exact"] = f"{type(err).__name__}: {err}"
-    if "localization" in methods:
-        try:
-            res = localization.splitting_localization(view)
-            splittings["localization"] = res.splitting
-            diagnostics["i_integral"] = res.i_value
-            diagnostics["g_norm"] = res.g_norm
-        except (ValueError, ArithmeticError, numerics.NumericsError) as err:
-            failures["localization"] = f"{type(err).__name__}: {err}"
-    if "wkb" in methods:
-        try:
-            res = wkb.wkb_splitting(dv_func, curv_min, model.x0)
-            splittings["wkb"] = res.splitting
-            diagnostics["turning_points"] = list(res.turning_points)
-            diagnostics["action"] = res.action
-            diagnostics["well_frequency"] = res.well_frequency
-        except (ValueError, ArithmeticError, numerics.NumericsError) as err:
-            failures["wkb"] = f"{type(err).__name__}: {err}"
-
-    record = {
-        "alpha": model.alpha, "sigma": model.sigma, "x0": model.x0,
-        "delta_u": heights.delta_u, "delta_v": heights.delta_v,
-        "width": width,
-        "overlap": models.superposition_coefficient(model),
-        "splittings": splittings, "failures": failures,
-        "diagnostics": diagnostics,
-        "validity_warnings": list(model.validity_warnings),
-    }
+    row = experiments.evaluate(model, args.methods)
     meta = _base_meta("split")
     if args.format == "csv":
-        columns = ("alpha", "sigma", "x0", "delta_u", "delta_v", "width",
-                   "overlap", "splitting_exact", "splitting_localization",
-                   "splitting_wkb", "failures")
-        flat = dict(record)
-        for m in ("exact", "localization", "wkb"):
-            flat[f"splitting_{m}"] = splittings.get(m)
-        flat["failures"] = "|".join(f"{k}={v}" for k, v in failures.items())
-        _emit(args, columns, [flat], meta)
+        _emit(args, SPLIT_COLUMNS, [_sweep_row_record(row)], meta)
     else:
+        record = dataclasses.asdict(row)
+        del record["swept_value"], record["rel_errors"]
+        record["validity_warnings"] = list(model.validity_warnings)
         _write(args, json.dumps({"meta": _round12(meta), **_round12(record)},
                                 indent=2, sort_keys=True) + "\n")
-    if splittings:
+    if row.splittings:
         return 0
     print("all requested methods failed: "
-          + "; ".join(f"{k}: {v}" for k, v in failures.items()),
+          + "; ".join(f"{k}: {v}" for k, v in row.failures.items()),
           file=sys.stderr)
     return 2
 

@@ -227,7 +227,7 @@ def _parity_block(table: np.ndarray, folded: np.ndarray, parity: int,
 def exact_splitting(
     delta_v: Callable,
     well_location: float,
-    well_curvature: float | None = None,
+    well_curvature: float,
     *,
     tol_rel: float = 1e-8,
     n_start: int = 64,
@@ -240,10 +240,11 @@ def exact_splitting(
     delta_v : callable
         Shifted potential in E_u units, vectorized over positions.
     well_location : float
-        Position of one potential minimum (sets the basis length scale).
-    well_curvature : float, optional
-        deltaV'' at the minimum; estimated by central differences when
-        omitted.  Must be positive.
+        Position of one potential minimum.  The basis is centered on the
+        barrier and scaled by well_curvature, so the solver does not use it.
+    well_curvature : float
+        deltaV'' at the minimum, positive; sets the basis length scale
+        l = well_curvature^(-1/4).
     tol_rel : float
         Relative stability of the splitting between successive basis
         doublings required to declare convergence.  Differences below
@@ -256,10 +257,6 @@ def exact_splitting(
     The result carries converged=False instead of raising when n_max is
     reached without stabilizing.
     """
-    if well_curvature is None:
-        h = 1e-4 * max(1.0, abs(well_location))
-        well_curvature = numerics.derivative_central(delta_v, well_location,
-                                                     order=2, h=h)
     if well_curvature <= 0:
         raise ValueError(
             f"well curvature must be positive, got {well_curvature:.6g}"

@@ -12,16 +12,19 @@ Three sweep families cover the standard studies:
 ``quartic_dU``
     Quartic mean-field potential swept over dU.
 
-Each sweep computes the requested splitting estimates (exact
-diagonalization, localization bound, WKB) per point, isolating failures
-so one pathological row cannot abort a long sweep.
+``evaluate`` turns one model into a row: barrier heights, width, overlap,
+the requested splitting estimates (exact diagonalization, localization
+bound, WKB) and their diagnostics, with each method's failure isolated in
+the row.  ``run_sweep`` builds the model of each swept value and calls it,
+and so does ``dwsplit split`` for its single model, so one pathological
+row cannot abort a long sweep and both commands report the same numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +49,14 @@ def sigma_for_delta_v(delta_v: float, alpha: float, x0: float = 1.0) -> float:
     if delta_v <= 0:
         raise ValueError(f"dV must be positive, got {delta_v}")
     return x0 * (1.0 / (2.0 * alpha * delta_v)) ** 0.25
+
+
+def canonical_methods(methods: Sequence[str]) -> tuple[str, ...]:
+    """The requested methods in METHODS order; ValueError names unknown ones."""
+    bad = [m for m in methods if m not in METHODS]
+    if bad:
+        raise ValueError(f"unknown methods {bad}, expected subset of {METHODS}")
+    return tuple(m for m in METHODS if m in methods)
 
 
 @dataclass(frozen=True)
@@ -80,11 +91,7 @@ class SweepSpec:
         if not self.start < self.stop:
             raise ValueError(
                 f"need start < stop, got [{self.start}, {self.stop}]")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad:
-            raise ValueError(f"unknown methods {bad}, expected subset of {METHODS}")
-        object.__setattr__(
-            self, "methods", tuple(m for m in METHODS if m in self.methods))
+        object.__setattr__(self, "methods", canonical_methods(self.methods))
         object.__setattr__(self, "fixed", dict(self.fixed))
         if self.family == "extended_fixed_dV" and "delta_v" not in self.fixed:
             raise ValueError("extended_fixed_dV requires fixed['delta_v']")
@@ -97,11 +104,7 @@ class SweepSpec:
             return
         x0 = float(self.fixed.get("x0", 1.0))
         for value in (self.start, self.stop):
-            if self.family == "simple_gaussian_dU":
-                sigma = sigma_for_du(value, x0)
-            else:
-                sigma = sigma_for_delta_v(float(self.fixed["delta_v"]),
-                                          value, x0)
+            sigma = self.alpha_sigma(value)[1]
             if sigma / x0 > models.SIGMA_RATIO_MAX:
                 raise ValueError(
                     f"swept range leaves the validated band: sigma/x0 = "
@@ -109,21 +112,33 @@ class SweepSpec:
                     f"swept value {value:g}; pass allow_out_of_range=True "
                     f"to proceed")
 
+    def alpha_sigma(self, value: float) -> tuple[float, float]:
+        """(alpha, sigma) of the two-Gaussian model at one swept value."""
+        x0 = float(self.fixed.get("x0", 1.0))
+        if self.family == "simple_gaussian_dU":
+            return float(self.fixed.get("alpha", 1.0)), sigma_for_du(value, x0)
+        return value, sigma_for_delta_v(float(self.fixed["delta_v"]), value, x0)
+
     def swept_values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point: model parameters, derived scales, splittings.
+    """One model's parameters, derived scales, splittings and diagnostics.
 
+    swept_value is the sweep coordinate, None outside a sweep.
     splittings maps method name to the estimate in E_u units.
     rel_errors maps method name to (estimate - exact)/exact, present
     only when the exact value was computed.
-    failures maps method name to a short tag when that method raised.
+    failures maps method name to a short tag when that method raised,
+    did not converge or gave a non-finite value.
+    diagnostics holds n_basis and ground_level (exact, also unconverged),
+    i_integral and g_norm (localization), and turning_points (in the
+    unit of width), action and well_frequency (wkb).
     """
 
-    swept_value: float
+    swept_value: float | None
     x0: float
     sigma: float | None
     alpha: float | None
@@ -134,59 +149,80 @@ class SweepRow:
     splittings: dict[str, float]
     rel_errors: dict[str, float]
     failures: dict[str, str]
+    diagnostics: dict[str, object]
 
 
-def _two_gaussian_row_inputs(model: models.TwoGaussianModel):
-    heights = models.barrier_heights(model)
-    try:
-        width = models.barrier_width(model)
-    except ValueError:
-        width = None
-    view = models.two_gaussian_meanfield(model)
-    dv = lambda x: models.quantum_potential_closed(model, x)
-    return heights, width, models.superposition_coefficient(model), view, dv
+def evaluate(model: models.ModelLike,
+             methods: Sequence[str] = METHODS) -> SweepRow:
+    """Every requested splitting of one model, as a row with swept_value None.
 
-
-def _quartic_row_inputs(model: models.QuarticMeanFieldModel):
-    view = models.quartic_meanfield(model)
-    dv = lambda x: models.quartic_quantum_potential(model, x)
-    # barrier height of deltaV from a fine scan refined by local curvature
-    grid = np.linspace(0.0, view.domain_halfwidth, 4001)
-    vals = models.quartic_quantum_potential(model, grid)
-    vmin = float(np.min(vals))
-    delta_v = float(dv(0.0)) - vmin
-    heights = models.BarrierHeights(delta_u=model.du, delta_v=delta_v)
-    return heights, None, None, view, dv
-
-
-def _compute_methods(spec: SweepSpec, view: models.MeanFieldView,
-                     dv: Callable, curvature_min: float | None,
-                     splittings: dict, failures: dict) -> None:
-    if "exact" in spec.methods:
+    In E_u units the operator is -x0^2 d2/dx2 + deltaV(x); exact and wkb
+    get it in s = x/x0 as -d2/ds2 + deltaV(x0 s), with the well at s = 1.
+    A method that raises, does not converge or gives a non-finite value
+    becomes a failure; the other methods still run.
+    """
+    methods = canonical_methods(methods)
+    view = models.meanfield_view(model)
+    x0 = model.x0
+    if isinstance(model, models.TwoGaussianModel):
+        sigma, alpha = model.sigma, model.alpha
+        heights = models.barrier_heights(model)
         try:
-            res = exact.exact_splitting(dv, view.x_m, curvature_min)
-            if not res.converged:
-                failures["exact"] = "basis not converged"
+            width = models.barrier_width(model)
+        except ValueError:
+            width = None
+        overlap = models.superposition_coefficient(model)
+        dv_s = lambda s: models.quantum_potential_closed(model, x0 * s)
+        curvature = models.curvature_at_minima(model)
+    else:
+        sigma = alpha = width = overlap = None
+        dv_s = lambda s: models.quartic_quantum_potential(model, x0 * s)
+        # barrier height of deltaV: its value at the origin minus its
+        # smallest value on a 4001-point grid over [0, L]
+        grid = np.linspace(0.0, view.domain_halfwidth, 4001)
+        vmin = float(np.min(models.quartic_quantum_potential(model, grid)))
+        heights = models.BarrierHeights(
+            delta_u=model.du,
+            delta_v=models.quartic_quantum_potential(model, 0.0) - vmin)
+        curvature = numerics.derivative_central(dv_s, 1.0, order=2, h=1e-4)
+
+    splittings: dict[str, float] = {}
+    failures: dict[str, str] = {}
+    diagnostics: dict[str, object] = {}
+    for method in methods:
+        converged = True
+        try:
+            if method == "exact":
+                res = exact.exact_splitting(dv_s, 1.0, curvature)
+                converged = res.converged
+                diagnostics.update(n_basis=res.n_basis_used,
+                                   ground_level=res.e0)
+            elif method == "localization":
+                res = localization.splitting_localization(view)
+                diagnostics.update(i_integral=res.i_value, g_norm=res.g_norm)
             else:
-                splittings["exact"] = res.splitting
+                res = wkb.wkb_splitting(dv_s, curvature, 1.0)
+                diagnostics.update(
+                    turning_points=tuple(x0 * t for t in res.turning_points),
+                    action=res.action, well_frequency=res.well_frequency)
         except (ValueError, ArithmeticError, numerics.NumericsError) as err:
-            failures["exact"] = f"{type(err).__name__}: {err}"
-    if "localization" in spec.methods:
-        try:
-            res = localization.splitting_localization(view)
-            splittings["localization"] = res.splitting
-        except (ValueError, ArithmeticError, numerics.NumericsError) as err:
-            failures["localization"] = f"{type(err).__name__}: {err}"
-    if "wkb" in spec.methods:
-        try:
-            curv = curvature_min
-            if curv is None:
-                curv = numerics.derivative_central(dv, view.x_m, order=2,
-                                                   h=1e-4)
-            res = wkb.wkb_splitting(dv, curv, view.x_m)
-            splittings["wkb"] = res.splitting
-        except (ValueError, ArithmeticError, numerics.NumericsError) as err:
-            failures["wkb"] = f"{type(err).__name__}: {err}"
+            failures[method] = f"{type(err).__name__}: {err}"
+            continue
+        if not converged:
+            failures[method] = "basis not converged"
+        elif not math.isfinite(res.splitting):
+            failures[method] = f"non-finite splitting {res.splitting!r}"
+        else:
+            splittings[method] = res.splitting
+
+    ref = splittings.get("exact")
+    rel_errors = {m: (splittings[m] - ref) / ref for m in ("localization", "wkb")
+                  if ref is not None and m in splittings}
+    return SweepRow(
+        swept_value=None, x0=x0, sigma=sigma, alpha=alpha,
+        delta_u=heights.delta_u, delta_v=heights.delta_v, width=width,
+        overlap=overlap, splittings=splittings, rel_errors=rel_errors,
+        failures=failures, diagnostics=diagnostics)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -200,42 +236,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for value in spec.swept_values():
         value = float(value)
-        splittings: dict[str, float] = {}
-        failures: dict[str, str] = {}
-        sigma: float | None
-        alpha: float | None
         if spec.family == "quartic_dU":
-            model_q = models.QuarticMeanFieldModel(du=value, x0=x0)
-            heights, width, overlap, view, dv = _quartic_row_inputs(model_q)
-            sigma = None
-            alpha = None
-            curvature_min = None
+            model = models.QuarticMeanFieldModel(du=value, x0=x0)
         else:
-            if spec.family == "simple_gaussian_dU":
-                alpha = float(spec.fixed.get("alpha", 1.0))
-                sigma = sigma_for_du(value, x0)
-            else:
-                alpha = value
-                sigma = sigma_for_delta_v(float(spec.fixed["delta_v"]),
-                                          value, x0)
+            alpha, sigma = spec.alpha_sigma(value)
             model = models.TwoGaussianModel(
                 sigma=sigma, x0=x0, alpha=alpha,
                 allow_out_of_range=spec.allow_out_of_range)
-            heights, width, overlap, view, dv = _two_gaussian_row_inputs(model)
-            curvature_min = models.curvature_at_minima(model)
-        _compute_methods(spec, view, dv, curvature_min, splittings, failures)
-        rel_errors: dict[str, float] = {}
-        if "exact" in splittings:
-            for method in ("localization", "wkb"):
-                if method in splittings:
-                    rel_errors[method] = (
-                        splittings[method] - splittings["exact"]
-                    ) / splittings["exact"]
-        rows.append(SweepRow(
-            swept_value=value, x0=x0, sigma=sigma, alpha=alpha,
-            delta_u=heights.delta_u, delta_v=heights.delta_v,
-            width=width, overlap=overlap, splittings=splittings,
-            rel_errors=rel_errors, failures=failures))
+        rows.append(replace(evaluate(model, spec.methods), swept_value=value))
     return rows
 
 

@@ -105,6 +105,37 @@ class TestSplit:
         assert "n_basis" in doc["diagnostics"]
         assert "failed" in err
 
+    def test_x0_off_one_solves_the_scaled_operator(self, capsys):
+        # in E_u units the operator is -x0^2 d2/dx2 + deltaV(x)
+        code, out, _ = run(capsys, "split", "--sigma", "0.3593",
+                           "--x0", "1.7", "--alpha", "2.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["failures"] == {}
+        assert abs(doc["diagnostics"]["ground_level"]) < 1e-8
+        assert doc["splittings"]["localization"] >= doc["splittings"]["exact"]
+
+    @pytest.mark.parametrize("methods, bad", [("bessel", "'bessel'"),
+                                              ("exact,,wkb", "''")])
+    def test_unknown_method_is_a_usage_error(self, capsys, methods, bad):
+        code, out, err = run(capsys, "split", "--sigma", "0.3593",
+                             "--methods", methods)
+        assert code == 1
+        assert out == ""
+        assert f"unknown methods [{bad}]" in err
+
+    def test_matches_the_sweep_row(self, capsys):
+        sigma = experiments.sigma_for_du(3.0)
+        code, out, _ = run(capsys, "split", "--sigma", repr(sigma))
+        assert code == 0
+        doc = json.loads(out)
+        row = experiments.run_sweep(experiments.SweepSpec(
+            "simple_gaussian_dU", 3.0, 4.0, 2))[0]
+        assert row.swept_value == 3.0
+        for key in ("splittings", "failures", "delta_u", "delta_v", "width",
+                    "overlap"):
+            assert doc[key] == cli._round12(getattr(row, key)), key
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "split", "--sigma", "0.3593",
                            "--format", "csv")

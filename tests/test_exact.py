@@ -190,17 +190,9 @@ class TestConvergenceBookkeeping:
         assert not res.converged
         assert res.n_basis_used == 8
 
-    def test_curvature_estimated_when_omitted(self):
-        model, dv = closed_delta_v(0.3593)
-        with_curv = exact.exact_splitting(dv, model.x0,
-                                          models.curvature_at_minima(model))
-        without = exact.exact_splitting(dv, model.x0)
-        assert without.splitting == pytest.approx(with_curv.splitting,
-                                                  rel=1e-8)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="curvature"):
-            exact.exact_splitting(lambda x: -x * x, 0.0)
+            exact.exact_splitting(lambda x: -x * x, 0.0, -2.0)
         with pytest.raises(ValueError, match="n_start"):
             exact.exact_splitting(lambda x: x * x, 0.0, 2.0,
                                   n_start=1)

@@ -146,6 +146,80 @@ class TestRunSweep:
             assert ra.rel_errors == rb.rel_errors
 
 
+class TestEvaluate:
+    def test_row_outside_a_sweep(self):
+        row = experiments.evaluate(models.TwoGaussianModel(sigma=0.3593))
+        assert row.swept_value is None
+        assert (row.sigma, row.alpha, row.x0) == (0.3593, 1.0, 1.0)
+        assert set(row.splittings) == set(experiments.METHODS)
+        assert not row.failures
+        assert set(row.diagnostics) == {
+            "n_basis", "ground_level", "i_integral", "g_norm",
+            "turning_points", "action", "well_frequency"}
+        left, right = row.diagnostics["turning_points"]
+        assert left == -right and 0.0 < right < row.x0
+
+    def test_methods_run_in_canonical_order(self):
+        model = models.QuarticMeanFieldModel(du=3.0)
+        row = experiments.evaluate(model, ("wkb", "localization"))
+        assert list(row.splittings) == ["localization", "wkb"]
+        assert "n_basis" not in row.diagnostics
+        assert row.rel_errors == {}
+
+    def test_unconverged_exact_is_a_failure_with_diagnostics(self,
+                                                              monkeypatch):
+        real = experiments.exact.exact_splitting
+        monkeypatch.setattr(
+            experiments.exact, "exact_splitting",
+            lambda *args: real(*args, tol_rel=1e-15, n_start=4, n_max=8))
+        row = experiments.evaluate(models.TwoGaussianModel(sigma=0.3593))
+        assert row.failures == {"exact": "basis not converged"}
+        assert "exact" not in row.splittings and row.rel_errors == {}
+        assert row.diagnostics["n_basis"] == 8
+        assert "ground_level" in row.diagnostics
+
+    def test_non_finite_splitting_is_a_failure(self, monkeypatch):
+        def infinite(view):
+            return experiments.localization.LocalizationResult(
+                splitting=math.inf, i_value=1.0, g_norm=1.0, x_m=view.x_m)
+
+        monkeypatch.setattr(experiments.localization,
+                            "splitting_localization", infinite)
+        row = experiments.evaluate(models.QuarticMeanFieldModel(du=3.0),
+                                   ("localization", "wkb"))
+        assert row.failures == {"localization": "non-finite splitting inf"}
+        assert set(row.splittings) == {"wkb"}
+
+
+class TestReducedCoordinate:
+    """exact and wkb solve -x0^2 d2/dx2 + deltaV(x) at any x0."""
+
+    def test_quartic_rows_do_not_depend_on_x0(self):
+        one, two = (experiments.run_sweep(experiments.SweepSpec(
+            "quartic_dU", 3.0, 4.0, 3, fixed={"x0": x0})) for x0 in (1.0, 2.0))
+        for a, b in zip(one, two):
+            assert not a.failures and not b.failures
+            assert b.splittings["exact"] == pytest.approx(
+                a.splittings["exact"], rel=1e-6)
+            for method in ("localization", "wkb"):
+                assert b.splittings[method] == pytest.approx(
+                    a.splittings[method], rel=1e-9)
+
+    def test_turning_points_in_the_unit_of_width(self):
+        x0 = 1.7
+        row = experiments.evaluate(
+            models.TwoGaussianModel(sigma=0.3593, x0=x0, alpha=2.5))
+        scaled = experiments.evaluate(
+            models.TwoGaussianModel(sigma=0.3593 / x0, alpha=2.5))
+        assert row.width == pytest.approx(x0 * scaled.width, rel=1e-9)
+        assert row.diagnostics["turning_points"] == pytest.approx(
+            [x0 * t for t in scaled.diagnostics["turning_points"]], rel=1e-9)
+        for method, tol in (("exact", 1e-6), ("localization", 1e-9),
+                            ("wkb", 1e-9)):
+            assert row.splittings[method] == pytest.approx(
+                scaled.splittings[method], rel=tol)
+
+
 class TestDefaultSweeps:
     def test_du_sweep_configuration(self):
         spec = experiments.default_du_sweep()
