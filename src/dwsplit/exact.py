@@ -1,23 +1,23 @@
-"""Exact low-lying spectrum of the shifted operator -d2/dx2 + deltaV(x).
+"""Exact tunneling splitting of the shifted operator -d2/dx2 + deltaV(x).
 
 The operator is represented in an orthonormal harmonic-oscillator (Hermite
-function) basis centered on the barrier.  Kinetic matrix elements are
-analytic; potential matrix elements use Gauss-Hermite quadrature of order
-2 n_basis + 32, comfortably beyond polynomial exactness for the basis
-products.  The basis length scale follows the well curvature,
+function) basis centered on the barrier at the origin.  Kinetic matrix
+elements are analytic; potential matrix elements use Gauss-Hermite
+quadrature of order 2 n_basis + 32, comfortably beyond polynomial exactness
+for the basis products.  The basis length scale follows the well curvature,
 l = deltaV''(x_min)^(-1/4) in reduced units, and the basis size is doubled
 until the splitting e1 - e0 is stable to a relative tolerance.
 
-deltaV is even about the basis center and psi_k(-xi) = (-1)^k psi_k(xi),
-so the matrix splits into an even block (psi_0, psi_2, ...) and an odd
-block (psi_1, psi_3, ...) of about n_basis/2 each.  The quadrature order is
-even, so no node sits at the center and the rule folds onto its positive
-nodes: a block is T diag(w (deltaV(x) + deltaV(-x))) T^T over the folded
-table T of its parity, plus the kinetic part, which is tridiagonal within a
-parity.  The folded tables do not depend on the model and are cached per
-basis size.  Only the two lowest eigenpairs of each block are computed
-(subset LAPACK eigensolver); the three lowest levels of the whole operator
-are always among those four.
+deltaV is even and psi_k(-xi) = (-1)^k psi_k(xi), so the matrix splits
+into an even block (psi_0, psi_2, ...) and an odd block (psi_1, psi_3, ...)
+of about n_basis/2 each.  The quadrature order is even, so no node sits at
+the origin and the rule folds onto its positive nodes: a block is
+T diag(w (deltaV(x) + deltaV(-x))) T^T over the folded table T of its
+parity, plus the kinetic part, which is tridiagonal within a parity.  The
+folded tables do not depend on the model and are cached per basis size.
+In one dimension the ground state is nodeless, hence even, and the first
+excited state is odd, so the splitting is the lowest eigenvalue of the odd
+block minus the lowest of the even block (subset LAPACK eigensolver).
 
 Total quadrature weights w_i * exp(xi_i^2) are produced directly from the
 inverse Christoffel sum 1 / sum_k psi_k(xi_i)^2 over the orthonormal
@@ -42,11 +42,10 @@ from . import numerics
 
 @dataclass(frozen=True)
 class HermiteBasis:
-    """Orthonormal oscillator basis phi_k(x) = psi_k((x - center)/l) / sqrt(l)."""
+    """Orthonormal oscillator basis phi_k(x) = psi_k(x/l) / sqrt(l)."""
 
     n_basis: int
     length_scale: float
-    center: float = 0.0
 
     def __post_init__(self):
         if self.n_basis < 2:
@@ -57,44 +56,24 @@ class HermiteBasis:
 
 @dataclass(frozen=True)
 class ExactSpectrumResult:
-    """Lowest three eigenvalues of the shifted operator plus diagnostics.
+    """Lowest even and odd eigenvalues of the shifted operator.
 
-    e0, e1, e2 are the raw eigenvalues in E_u units (for a quantum potential
-    generated from a normalized density, e0 is zero up to discretization).
-    coefficients holds the basis expansion of the three states column-wise.
-    convergence_history records (n_basis, splitting) per doubling step.
+    e0 and e1 are the lowest even and the lowest odd level in E_u units
+    (for a quantum potential generated from a normalized density, e0 is
+    zero up to discretization).  convergence_history records
+    (n_basis, splitting) per doubling step.
     """
 
     e0: float
     e1: float
-    e2: float
     n_basis_used: int
     converged: bool
     convergence_history: tuple
-    basis: HermiteBasis
-    coefficients: np.ndarray
 
     @property
     def splitting(self) -> float:
         """deltaE1 = e1 - e0, the tunneling splitting in E_u units."""
         return self.e1 - self.e0
-
-    @property
-    def gap_ratio(self) -> float:
-        """(e2 - e0) / (e1 - e0); large values mean a clean doublet."""
-        return (self.e2 - self.e0) / (self.e1 - self.e0)
-
-    def state(self, x, which: int = 0):
-        """Evaluate eigenstate ``which`` (0, 1 or 2) on scalar or array x."""
-        if which not in (0, 1, 2):
-            raise ValueError(f"which must be 0, 1 or 2, got {which}")
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = (x_arr - self.basis.center) / self.basis.length_scale
-        table = hermite_function_table(self.basis.n_basis, xi)
-        vals = (self.coefficients[:, which] @ table) / math.sqrt(self.basis.length_scale)
-        if np.ndim(x) == 0:
-            return float(vals[0])
-        return vals
 
 
 def hermite_function_table(n: int, xi: np.ndarray) -> np.ndarray:
@@ -171,12 +150,12 @@ class ParityHamiltonian:
 def build_hamiltonian(delta_v: Callable, basis: HermiteBasis) -> ParityHamiltonian:
     """Parity blocks of -d2/dx2 + deltaV in the given oscillator basis.
 
-    deltaV must accept numpy arrays and be even about the basis center.
+    deltaV must accept numpy arrays and be even about the origin.
     It is evaluated once, on the folded nodes and their mirror images.
     """
     ell = basis.length_scale
     xi, weights, tables = _parity_tables(basis.n_basis)
-    x_nodes = basis.center + ell * np.concatenate((xi, -xi))
+    x_nodes = ell * np.concatenate((xi, -xi))
     v_nodes = np.asarray(delta_v(x_nodes), dtype=float)
     if v_nodes.shape != x_nodes.shape:
         raise ValueError("delta_v must map an array of positions to an array "
@@ -188,7 +167,7 @@ def build_hamiltonian(delta_v: Callable, basis: HermiteBasis) -> ParityHamiltoni
     asymmetry = float(np.max(np.abs(v_right - v_left)))
     if asymmetry > 1e-9 * float(np.max(np.abs(v_nodes))):
         raise ValueError(
-            f"delta_v must be even about the basis center: "
+            f"delta_v must be even about the origin: "
             f"|deltaV(x) - deltaV(-x)| reaches {asymmetry:.3e}"
         )
     folded = weights * (v_right + v_left)
@@ -233,7 +212,7 @@ def exact_splitting(
     n_start: int = 64,
     n_max: int = 1024,
 ) -> ExactSpectrumResult:
-    """Converged lowest three eigenvalues of -d2/dx2 + deltaV.
+    """Tunneling splitting of -d2/dx2 + deltaV, converged in the basis size.
 
     Parameters
     ----------
@@ -255,7 +234,8 @@ def exact_splitting(
         First and largest basis sizes tried (doubling in between).
 
     The result carries converged=False instead of raising when n_max is
-    reached without stabilizing.
+    reached without stabilizing; a splitting that is not positive never
+    counts as converged.
     """
     if well_curvature <= 0:
         raise ValueError(
@@ -267,23 +247,24 @@ def exact_splitting(
     ell = float(well_curvature) ** -0.25
     history = []
     prev_split = None
-    best = None
     converged = False
 
     n = n_start
     while n <= n_max:
         basis = HermiteBasis(n_basis=n, length_scale=ell)
         matrix = build_hamiltonian(delta_v, basis)
-        values, vectors = _lowest_three(matrix)
-        split = float(values[1] - values[0])
+        # ask for two: with k = 1 LAPACK moves the splittings ~1e-8 relative
+        e0, e1 = (numerics.eig_symmetric_lowest(b, min(2, b.shape[0]))[0][0]
+                  for b in (matrix.even, matrix.odd))
+        split = float(e1 - e0)
         history.append((n, split))
-        best = (values, vectors, basis)
         # eigenvalues carry noise ~ eps * ||H||; demanding agreement
         # below that floor would never terminate for tiny splittings
         gersh = max(float(np.abs(block).sum(axis=1).max())
                     for block in (matrix.even, matrix.odd))
         noise_floor = 64.0 * np.finfo(float).eps * gersh
-        if prev_split is not None and (
+        # odd lies above even, so a splitting <= 0 is never resolved
+        if split > 0.0 and prev_split is not None and (
                 abs(split - prev_split)
                 <= max(tol_rel * abs(split), noise_floor)):
             converged = True
@@ -291,41 +272,6 @@ def exact_splitting(
         prev_split = split
         n *= 2
 
-    values, vectors, basis = best
-    coeffs = _fix_state_signs(vectors, basis)
     return ExactSpectrumResult(
-        e0=float(values[0]), e1=float(values[1]), e2=float(values[2]),
-        n_basis_used=basis.n_basis, converged=converged,
-        convergence_history=tuple(history), basis=basis, coefficients=coeffs,
-    )
-
-
-def _lowest_three(matrix: ParityHamiltonian):
-    """Three lowest eigenpairs of the whole operator, vectors in the full
-    basis.  They are among the two lowest of each block (in 1-D: even, odd,
-    even)."""
-    values, columns = [], []
-    for parity, block in enumerate((matrix.even, matrix.odd)):
-        vals, vecs = numerics.eig_symmetric_lowest(block, min(2, block.shape[0]))
-        full = np.zeros((matrix.n, vals.size))
-        full[parity::2] = vecs
-        values.append(vals)
-        columns.append(full)
-    values = np.concatenate(values)
-    order = np.argsort(values, kind="stable")[:3]
-    return values[order], np.hstack(columns)[:, order]
-
-
-def _fix_state_signs(coeffs: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    """Sign convention: ground state positive at the center, first excited
-    state positive one oscillator length to the right."""
-    probe = np.asarray([0.0, 1.0])
-    table = hermite_function_table(basis.n_basis, probe)
-    at_center = coeffs[:, 0] @ table[:, 0]
-    if at_center < 0:
-        coeffs[:, 0] = -coeffs[:, 0]
-    for which in (1, 2):
-        at_right = coeffs[:, which] @ table[:, 1]
-        if at_right < 0:
-            coeffs[:, which] = -coeffs[:, which]
-    return coeffs
+        e0=float(e0), e1=float(e1), n_basis_used=basis.n_basis,
+        converged=converged, convergence_history=tuple(history))

@@ -68,7 +68,8 @@ class SweepSpec:
         The swept parameter is dU for the *_dU families and alpha for
         extended_fixed_dV.
     fixed : held-constant parameters; extended_fixed_dV requires
-        fixed["delta_v"], all families accept fixed["x0"].
+        fixed["delta_v"], all families accept fixed["x0"], and any other
+        key is a ValueError.
     methods : subset of METHODS, stored in canonical order.
     allow_out_of_range : forward to the model constructors (sigma/x0
         beyond the validated band).
@@ -95,6 +96,10 @@ class SweepSpec:
         object.__setattr__(self, "fixed", dict(self.fixed))
         if self.family == "extended_fixed_dV" and "delta_v" not in self.fixed:
             raise ValueError("extended_fixed_dV requires fixed['delta_v']")
+        reads = ("x0", "delta_v") if self.family == "extended_fixed_dV" else ("x0",)
+        unread = sorted(set(self.fixed) - set(reads))
+        if unread:
+            raise ValueError(f"{self.family} does not read fixed{unread}")
         self._check_validity_band()
 
     def _check_validity_band(self) -> None:
@@ -116,7 +121,7 @@ class SweepSpec:
         """(alpha, sigma) of the two-Gaussian model at one swept value."""
         x0 = float(self.fixed.get("x0", 1.0))
         if self.family == "simple_gaussian_dU":
-            return float(self.fixed.get("alpha", 1.0)), sigma_for_du(value, x0)
+            return 1.0, sigma_for_du(value, x0)
         return value, sigma_for_delta_v(float(self.fixed["delta_v"]), value, x0)
 
     def swept_values(self) -> np.ndarray:
@@ -162,7 +167,6 @@ def evaluate(model: models.ModelLike,
     becomes a failure; the other methods still run.
     """
     methods = canonical_methods(methods)
-    view = models.meanfield_view(model)
     x0 = model.x0
     if isinstance(model, models.TwoGaussianModel):
         sigma, alpha = model.sigma, model.alpha
@@ -177,14 +181,8 @@ def evaluate(model: models.ModelLike,
     else:
         sigma = alpha = width = overlap = None
         dv_s = lambda s: models.quartic_quantum_potential(model, x0 * s)
-        # barrier height of deltaV: its value at the origin minus its
-        # smallest value on a 4001-point grid over [0, L]
-        grid = np.linspace(0.0, view.domain_halfwidth, 4001)
-        vmin = float(np.min(models.quartic_quantum_potential(model, grid)))
-        heights = models.BarrierHeights(
-            delta_u=model.du,
-            delta_v=models.quartic_quantum_potential(model, 0.0) - vmin)
-        curvature = numerics.derivative_central(dv_s, 1.0, order=2, h=1e-4)
+        heights = models.quartic_barrier_heights(model)
+        curvature = models.quartic_curvature_at_x0(model)
 
     splittings: dict[str, float] = {}
     failures: dict[str, str] = {}
@@ -198,7 +196,8 @@ def evaluate(model: models.ModelLike,
                 diagnostics.update(n_basis=res.n_basis_used,
                                    ground_level=res.e0)
             elif method == "localization":
-                res = localization.splitting_localization(view)
+                res = localization.splitting_localization(
+                    models.meanfield_view(model))
                 diagnostics.update(i_integral=res.i_value, g_norm=res.g_norm)
             else:
                 res = wkb.wkb_splitting(dv_s, curvature, 1.0)

@@ -153,23 +153,21 @@ ModelLike = Union[TwoGaussianModel, QuarticMeanFieldModel]
 class MeanFieldView:
     """Callable bundle describing one model's mean field.
 
-    rho_eq must be normalized to unit integral; potential is U with the
-    convention U(x_m) ~ 0 at the density maxima, and d_potential,
-    d2_potential are its first two derivatives.  x0 is the reduced length
-    unit entering deltaV/E_u = x0^2 (U'^2/4 - U''/2); x_m is the matching
-    point used by localization (the density maximum, equal to x0 for both
-    families here); domain_halfwidth bounds the region carrying all but
+    rho_eq must be normalized to unit integral; d_potential and
+    d2_potential are the first two derivatives of the mean-field potential
+    U = -ln rho_eq + const.  x0 is the reduced length unit entering
+    deltaV/E_u = x0^2 (U'^2/4 - U''/2); x_m is the matching point used by
+    localization (the density maximum, equal to x0 for both families
+    here); domain_halfwidth bounds the region carrying all but
     negligible density mass.
     """
 
     rho_eq: Callable
-    potential: Callable
     d_potential: Callable
     d2_potential: Callable
     x0: float
     x_m: float
     domain_halfwidth: float
-    norm_constant: float
     label: str = ""
 
 
@@ -397,6 +395,24 @@ def quartic_curvature_at_origin(model: QuarticMeanFieldModel) -> float:
     return 8.0 * model.du**2 - 12.0 * model.du
 
 
+def quartic_curvature_at_x0(model: QuarticMeanFieldModel) -> float:
+    """x0^2 * deltaV''(x0) / E_u = 32 du^2 - 12 du; x0 minimizes U, not deltaV."""
+    return 32.0 * model.du**2 - 12.0 * model.du
+
+
+def quartic_barrier_heights(model: QuarticMeanFieldModel) -> BarrierHeights:
+    """Barrier heights of the quartic family in closed form.
+
+    delta_v = 2 du - min deltaV.  With t = s^2, deltaV = 4 du^2 t (1 - t)^2
+    + 2 du (1 - 3t) is a cubic in t; its outer minimum sits at the larger
+    critical point t = (4 + sqrt(4 + 18/du)) / 6, below deltaV(0) = 2 du.
+    """
+    du = model.du
+    t = (4.0 + math.sqrt(4.0 + 18.0 / du)) / 6.0
+    v_min = 4.0 * du * du * t * (1.0 - t) ** 2 + 2.0 * du * (1.0 - 3.0 * t)
+    return BarrierHeights(delta_u=du, delta_v=2.0 * du - v_min)
+
+
 # ---------------------------------------------------------------------------
 # mean-field views
 # ---------------------------------------------------------------------------
@@ -406,10 +422,6 @@ def two_gaussian_meanfield(model: TwoGaussianModel) -> MeanFieldView:
     s2 = model.sigma**2
     x0 = model.x0
     alpha = model.alpha
-    pref = model.norm_constant / math.sqrt(8.0 * math.pi * s2)
-
-    def rho(x):
-        return _scalar_or_array(x, pref * np.exp(-_two_gaussian_u(model, x)))
 
     def du(x):
         x = np.asarray(x, dtype=float)
@@ -422,14 +434,12 @@ def two_gaussian_meanfield(model: TwoGaussianModel) -> MeanFieldView:
         return _scalar_or_array(x, 1.0 / s2 - x0**2 / (alpha * s2 * s2) * _sech2(u))
 
     return MeanFieldView(
-        rho_eq=rho,
-        potential=lambda x: meanfield_potential(model, x),
+        rho_eq=lambda x: rho_eq(model, x),
         d_potential=du,
         d2_potential=d2u,
         x0=x0,
         x_m=x0,
         domain_halfwidth=x0 + 10.0 * model.sigma,
-        norm_constant=model.norm_constant,
         label=f"two_gaussian(sigma={model.sigma:g}, alpha={alpha:g})",
     )
 
@@ -441,35 +451,29 @@ def quartic_meanfield(model: QuarticMeanFieldModel) -> MeanFieldView:
     # e^{-U} drops below e^{-80} past this point
     halfwidth = x0 * math.sqrt(1.0 + math.sqrt(80.0 / du_))
 
-    def u_raw(x):
-        return quartic_potential(model, x)
+    def weight(x):
+        return np.exp(-quartic_potential(model, x))
 
-    z = numerics.integrate_panels(lambda x: np.exp(-u_raw(x)),
-                                  -halfwidth, halfwidth)
+    z = numerics.integrate_panels(weight, -halfwidth, halfwidth)
 
     def rho(x):
-        x_arr = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, np.exp(-du_ * (1.0 - (x_arr / x0) ** 2) ** 2) / z)
+        return _scalar_or_array(x, weight(x) / z)
 
     def d_u(x):
-        x_arr = np.asarray(x, dtype=float)
-        s = x_arr / x0
+        s = np.asarray(x, dtype=float) / x0
         return _scalar_or_array(x, -4.0 * du_ * s * (1.0 - s * s) / x0)
 
     def d2_u(x):
-        x_arr = np.asarray(x, dtype=float)
-        s = x_arr / x0
+        s = np.asarray(x, dtype=float) / x0
         return _scalar_or_array(x, -4.0 * du_ * (1.0 - 3.0 * s * s) / x0**2)
 
     return MeanFieldView(
         rho_eq=rho,
-        potential=u_raw,
         d_potential=d_u,
         d2_potential=d2_u,
         x0=x0,
         x_m=x0,
         domain_halfwidth=halfwidth,
-        norm_constant=1.0 / z,
         label=f"quartic(du={du_:g})",
     )
 

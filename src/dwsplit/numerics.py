@@ -5,9 +5,8 @@ Gauss-Legendre rule on P equal panels (`gauss_panels` sums it panel by
 panel, `integrate_panels` doubles P from 8 until two successive sums agree
 to 1e-12 relative).  The integrands are analytic, so the panel sums
 converge geometrically in P.  Besides the rule there are a bracketed root
-finder (Illinois false position), the LAPACK symmetric eigensolver and a
-small central-difference helper.  The Gauss-Hermite rule stays in `exact`,
-where it is used.
+finder (Illinois false position) and the LAPACK symmetric eigensolver.
+The Gauss-Hermite rule stays in `exact`, where it is used.
 """
 
 from __future__ import annotations
@@ -168,23 +167,3 @@ def eig_symmetric_lowest(a: np.ndarray, k: int):
         )
     return values, vectors
 
-
-def derivative_central(
-    f: Callable[[float], float],
-    x: float,
-    order: int = 1,
-    h: float = 1e-5,
-) -> float:
-    """Central finite-difference derivative of f at x.
-
-    order 1 uses the two-point stencil, order 2 the three-point stencil;
-    both are O(h^2) accurate.  The step h is the caller's responsibility
-    (truncation versus roundoff trade-off).
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)

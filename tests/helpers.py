@@ -1,10 +1,10 @@
 """Shared oracles for the test suite.
 
-Both oracles are deliberately independent of the package internals:
-the eigensolver oracle discretizes the Hamiltonian on a uniform grid
-with a three-point Laplacian, the localization oracle evaluates the
-integral bound with plain dense trapezoid sums.  Tests compare package
-results against these alternate routes.
+All three oracles are deliberately independent of the package internals:
+the two eigensolver oracles (lowest levels, and the ground state) discretize
+the Hamiltonian on a uniform grid with a three-point Laplacian, the
+localization oracle evaluates the integral bound with plain dense trapezoid
+sums.  Tests compare package results against these alternate routes.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 from dwsplit import exact, experiments, localization, models
 
-from helpers import fd_lowest
+from helpers import fd_ground_state, fd_lowest
 
 TABLE_TARGETS = {
     # alpha: (sigma/x0, dU, V''(0), V''(x0), w/x0)
@@ -93,13 +93,11 @@ def test_density_square_root_is_ground_state():
         sigma = experiments.sigma_for_delta_v(30.0, alpha)
         model = models.TwoGaussianModel(sigma=sigma, alpha=alpha)
         dv = lambda x: models.quantum_potential_closed(model, x)
-        res = exact.exact_splitting(dv, model.x0,
-                                    models.curvature_at_minima(model))
-        x = np.linspace(-3.0, 3.0, 1201)
+        x, _, psi0 = fd_ground_state(dv)
         rho = models.rho_eq(model, x)
-        mask = rho > 1e-6
+        mask = (np.abs(x) <= 3.0) & (rho > 1e-6)
         psi_rho = np.sqrt(rho[mask])
-        dev = np.max(np.abs(res.state(x[mask], 0) - psi_rho) / psi_rho)
+        dev = np.max(np.abs(psi0[mask] - psi_rho) / psi_rho)
         worst_psi = max(worst_psi, float(dev))
 
         # reverse route: second derivative of sqrt(rho) recovers deltaV

@@ -60,6 +60,17 @@ class TestSweepSpecValidation:
         experiments.SweepSpec("simple_gaussian_dU", 1.0, 12.0, 40,
                               allow_out_of_range=True)
 
+    @pytest.mark.parametrize("family, fixed, key", [
+        ("simple_gaussian_dU", {"alpha": 2.0}, "alpha"),
+        ("quartic_dU", {"delta_v": 30.0}, "delta_v"),
+        ("extended_fixed_dV", {"delta_v": 30.0, "sigma": 0.3}, "sigma"),
+    ])
+    def test_unread_fixed_key_rejected(self, family, fixed, key):
+        # an alpha held fixed on simple_gaussian_dU would build models off
+        # the swept dU, since sigma follows the alpha = 1 formula
+        with pytest.raises(ValueError, match=rf"fixed\['{key}'\]"):
+            experiments.SweepSpec(family, 3.0, 4.0, 2, fixed=fixed)
+
     def test_fixed_mapping_is_copied(self):
         fixed = {"delta_v": 30.0}
         spec = experiments.SweepSpec("extended_fixed_dV", 1.0, 2.0, 5,
@@ -115,6 +126,8 @@ class TestRunSweep:
             assert row.sigma is None and row.alpha is None
             assert row.delta_u == row.swept_value
             assert row.delta_v > row.delta_u  # quantum barrier is higher here
+            assert row.delta_v == models.quartic_barrier_heights(
+                models.QuarticMeanFieldModel(du=row.swept_value)).delta_v
             assert not row.failures
 
     def test_row_failure_is_isolated(self, monkeypatch):

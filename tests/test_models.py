@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from dwsplit import models
 
@@ -159,6 +160,29 @@ class TestQuartic:
         m = models.QuarticMeanFieldModel(du=2.0)
         assert models.quartic_curvature_at_origin(m) == pytest.approx(
             8.0 * 4.0 - 12.0 * 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("du", [0.5, 1.0, 3.5, 8.0, 12.0])
+    def test_barrier_heights_closed_form(self, du):
+        # reference: a bounded minimizer of deltaV over s in [0, 3]
+        m = models.QuarticMeanFieldModel(du=du)
+        found = minimize_scalar(
+            lambda s: models.quartic_quantum_potential(m, s),
+            bounds=(0.0, 3.0), method="bounded", options={"xatol": 1e-12})
+        heights = models.quartic_barrier_heights(m)
+        assert heights.delta_u == du
+        assert heights.delta_v == pytest.approx(2.0 * du - found.fun,
+                                                rel=1e-12)
+
+    @pytest.mark.parametrize("du", [0.5, 3.5, 12.0])
+    def test_curvature_at_x0_closed_form(self, du):
+        # five-point second difference of deltaV(x0 s) at s = 1, at x0 = 2
+        m = models.QuarticMeanFieldModel(du=du, x0=2.0)
+        h = 1e-3
+        v = [models.quartic_quantum_potential(m, 2.0 * (1.0 + k * h))
+             for k in (-2, -1, 0, 1, 2)]
+        fd = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+        assert models.quartic_curvature_at_x0(m) == pytest.approx(fd,
+                                                                  rel=1e-8)
 
     def test_quantum_barrier_top(self):
         # deltaV(0) = 2 dU in reduced units

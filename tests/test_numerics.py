@@ -79,17 +79,3 @@ class TestEigSymmetricLowest:
         for i in range(3):
             r = m @ vectors[:, i] - values[i] * vectors[:, i]
             assert np.max(np.abs(r)) < 1e-10 * max(np.abs(values).max(), 1.0)
-
-
-class TestDerivativeCentral:
-    def test_first_order(self):
-        d = numerics.derivative_central(math.exp, 0.3, order=1)
-        assert d == pytest.approx(math.exp(0.3), rel=1e-9)
-
-    def test_second_order(self):
-        d = numerics.derivative_central(math.cos, 0.5, order=2, h=1e-4)
-        assert d == pytest.approx(-math.cos(0.5), rel=1e-6)
-
-    def test_rejects_other_orders(self):
-        with pytest.raises(ValueError):
-            numerics.derivative_central(math.exp, 0.0, order=3)
