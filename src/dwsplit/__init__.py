@@ -26,7 +26,6 @@ from .models import (
     meanfield_potential,
     meanfield_view,
     quantum_potential_closed,
-    quantum_potential_from_meanfield,
     quartic_curvature_at_origin,
     quartic_meanfield,
     quartic_quantum_potential,
@@ -52,7 +51,6 @@ __all__ = [
     "meanfield_potential",
     "meanfield_view",
     "quantum_potential_closed",
-    "quantum_potential_from_meanfield",
     "quartic_curvature_at_origin",
     "quartic_meanfield",
     "quartic_quantum_potential",

@@ -199,14 +199,14 @@ def cmd_sweep(args) -> int:
     if family == "extended_fixed_dV":
         if args.dv is None:
             raise _usage_error("--family fixed-dv requires --dv")
-        if args.alpha_range is None:
+        if args.alpha is None:
             raise _usage_error("--family fixed-dv requires --alpha START:STOP:N")
-        start, stop, n = args.alpha_range
+        start, stop, n = args.alpha
         fixed["delta_v"] = args.dv
     else:
-        if args.du_range is None:
+        if args.du is None:
             raise _usage_error(f"--family {args.family} requires --du START:STOP:N")
-        start, stop, n = args.du_range
+        start, stop, n = args.du
     spec = experiments.SweepSpec(
         family=family, start=start, stop=stop, n_points=n, fixed=fixed,
         methods=args.methods, allow_out_of_range=args.allow_out_of_range)
@@ -310,7 +310,6 @@ def build_parser():
     parser.add_argument("--unit-doc", action="store_true",
                         help="print the reduced-unit conversion note and exit")
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-    registry = {}
 
     split = subs.add_parser("split", help="splitting of one model")
     split.add_argument("--alpha", type=float, default=1.0)
@@ -327,15 +326,14 @@ def build_parser():
     split.add_argument("--allow-out-of-range", action="store_true")
     _add_common_output(split, "json")
     split.set_defaults(func=cmd_split)
-    registry["split"] = split
 
     sweep = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
     # not argparse-required so a config file may supply it; checked in cmd_sweep
     sweep.add_argument("--family", choices=tuple(_FAMILY_TAGS), default=None)
-    sweep.add_argument("--du", dest="du_range", type=_parse_range,
+    sweep.add_argument("--du", type=_parse_range,
                        default=None, metavar="START:STOP:N",
                        help="dU range for simple-du / quartic-du")
-    sweep.add_argument("--alpha", dest="alpha_range", type=_parse_range,
+    sweep.add_argument("--alpha", type=_parse_range,
                        default=None, metavar="START:STOP:N",
                        help="alpha range for fixed-dv")
     sweep.add_argument("--dv", type=float, default=None,
@@ -347,7 +345,6 @@ def build_parser():
     sweep.add_argument("--allow-out-of-range", action="store_true")
     _add_common_output(sweep, "csv")
     sweep.set_defaults(func=cmd_sweep)
-    registry["sweep"] = sweep
 
     table = subs.add_parser("table1", help="fixed-dV parameter table")
     table.add_argument("--dv", type=float, default=experiments.TABLE1_DELTA_V)
@@ -355,7 +352,6 @@ def build_parser():
                        help="emit CSV/JSON instead of the formatted table")
     _add_common_output(table, "csv")
     table.set_defaults(func=cmd_table1)
-    registry["table1"] = table
 
     profile = subs.add_parser("profile", help="potential profiles on a grid")
     profile.add_argument("--grid", type=_parse_range, default=None,
@@ -376,57 +372,48 @@ def build_parser():
     profile.add_argument("--allow-out-of-range", action="store_true")
     _add_common_output(profile, "csv")
     profile.set_defaults(func=cmd_profile)
-    registry["profile"] = profile
-
-    return parser, registry
+    return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_flags(path: str, args) -> list[str]:
+    """One --key=value per ``key = value`` line of a config file.
+
+    A switch (a flag whose parsed value is a bool) becomes the bare flag
+    for a true value and is dropped for a false one.  Everything else is
+    left to argparse, which checks it as it checks the command line.
+    """
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected key = value, got {raw!r}")
-                key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
+            lines = fh.readlines()
     except OSError as err:
         raise ValueError(f"cannot read config {path}: {err}") from None
-    return values
-
-
-def _apply_config(parser, sub, argv: list[str], args):
-    """Re-parse with config values as subcommand defaults; flags win."""
-    raw = _load_config(args.config)
-    # accept both flag spellings (du, alpha) and argparse dests (du_range)
-    actions = {}
-    for action in sub._actions:
-        actions[action.dest] = action
-        for opt in action.option_strings:
-            actions[opt.lstrip("-").replace("-", "_")] = action
-    defaults = {}
-    for key, val in raw.items():
-        if key not in actions:
-            raise _usage_error(f"unknown config key {key!r}")
-        action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction,
-                               argparse._StoreFalseAction)):
-            defaults[action.dest] = val.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            defaults[action.dest] = action.type(val)
-        else:
-            defaults[action.dest] = val
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    flags = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ValueError(
+                f"{path}:{lineno}: expected key = value, got {raw!r}")
+        key, val = key.strip().replace("-", "_"), val.strip()
+        flag = "--" + key.replace("_", "-")
+        # exact names only: argparse would also take an abbreviated flag
+        if not hasattr(args, key):
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if not isinstance(getattr(args, key), bool):
+            flags.append(f"{flag}={val}")
+        elif val.lower() in ("true", "yes", "on", "1"):
+            flags.append(flag)
+        elif val.lower() not in ("false", "no", "off", "0"):
+            raise ValueError(f"{path}:{lineno}: {flag} takes true/yes/on/1 or "
+                             f"false/no/off/0, got {val!r}")
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.unit_doc:
@@ -436,7 +423,10 @@ def main(argv=None) -> int:
             parser.error("a subcommand is required (split, sweep, table1, "
                          "profile) unless --unit-doc is given")
         if getattr(args, "config", None):
-            args = _apply_config(parser, registry[args.command], argv, args)
+            # config flags go right after the subcommand, so explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.config, args) + argv[at:])
         return args.func(args)
     except SystemExit as err:
         code = err.code if isinstance(err.code, int) else 1

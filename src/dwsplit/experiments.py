@@ -4,18 +4,20 @@ Three sweep families cover the standard studies:
 
 ``simple_gaussian_dU``
     Symmetric two-Gaussian density at alpha = 1, swept over the mean-field
-    barrier height dU.  sigma follows from dU = x0^2/(2 sigma^2) - ln 2.
+    barrier height dU.  sigma follows from dU = x0^2/(2 sigma^2) - ln 2
+    (``models.sigma_for_du``).
 ``extended_fixed_dV``
     Extended model swept over alpha at fixed quantum barrier height dV,
-    sigma^4 = x0^4 / (2 alpha dV).  Used for the width studies and the
-    five-row parameter table.
+    sigma^4 = x0^4 / (2 alpha dV) (``models.sigma_for_delta_v``).  Used
+    for the width studies and the five-row parameter table.
 ``quartic_dU``
     Quartic mean-field potential swept over dU.
 
 ``evaluate`` turns one model into a row: barrier heights, width, overlap,
 the requested splitting estimates (exact diagonalization, localization
 bound, WKB) and their diagnostics, with each method's failure isolated in
-the row.  ``run_sweep`` builds the model of each swept value and calls it,
+the row; an exact value above the localization upper bound is a failure
+too.  ``run_sweep`` builds the model of each swept value and calls it,
 and so does ``dwsplit split`` for its single model, so one pathological
 row cannot abort a long sweep and both commands report the same numbers.
 """
@@ -35,20 +37,6 @@ METHODS = ("exact", "localization", "wkb")
 
 TABLE1_DELTA_V = 30.0
 TABLE1_ALPHAS = (1.0, 1.5, 2.0, 2.5, 3.0)
-
-
-def sigma_for_du(du: float, x0: float = 1.0) -> float:
-    """sigma reproducing mean-field barrier dU in the alpha = 1 model."""
-    if du <= -math.log(2.0):
-        raise ValueError(f"dU must exceed -ln 2, got {du}")
-    return x0 * math.sqrt(0.5 / (du + math.log(2.0)))
-
-
-def sigma_for_delta_v(delta_v: float, alpha: float, x0: float = 1.0) -> float:
-    """sigma holding the quantum barrier at dV for the given alpha."""
-    if delta_v <= 0:
-        raise ValueError(f"dV must be positive, got {delta_v}")
-    return x0 * (1.0 / (2.0 * alpha * delta_v)) ** 0.25
 
 
 def canonical_methods(methods: Sequence[str]) -> tuple[str, ...]:
@@ -121,8 +109,9 @@ class SweepSpec:
         """(alpha, sigma) of the two-Gaussian model at one swept value."""
         x0 = float(self.fixed.get("x0", 1.0))
         if self.family == "simple_gaussian_dU":
-            return 1.0, sigma_for_du(value, x0)
-        return value, sigma_for_delta_v(float(self.fixed["delta_v"]), value, x0)
+            return 1.0, models.sigma_for_du(value, x0)
+        delta_v = float(self.fixed["delta_v"])
+        return value, models.sigma_for_delta_v(delta_v, value, x0)
 
     def swept_values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
@@ -137,7 +126,8 @@ class SweepRow:
     rel_errors maps method name to (estimate - exact)/exact, present
     only when the exact value was computed.
     failures maps method name to a short tag when that method raised,
-    did not converge or gave a non-finite value.
+    did not converge or gave a non-finite value, or (exact) exceeded the
+    localization upper bound.
     diagnostics holds n_basis and ground_level (exact, also unconverged),
     i_integral and g_norm (localization), and turning_points (in the
     unit of width), action and well_frequency (wkb).
@@ -164,7 +154,9 @@ def evaluate(model: models.ModelLike,
     In E_u units the operator is -x0^2 d2/dx2 + deltaV(x); exact and wkb
     get it in s = x/x0 as -d2/ds2 + deltaV(x0 s), with the well at s = 1.
     A method that raises, does not converge or gives a non-finite value
-    becomes a failure; the other methods still run.
+    becomes a failure; the other methods still run.  So does an exact value
+    above the localization upper bound by more than numerics.REL_TOL
+    relative, when both were computed.
     """
     methods = canonical_methods(methods)
     x0 = model.x0
@@ -213,6 +205,14 @@ def evaluate(model: models.ModelLike,
             failures[method] = f"non-finite splitting {res.splitting!r}"
         else:
             splittings[method] = res.splitting
+
+    # an exact value above the variational upper bound is not resolved
+    value, bound = splittings.get("exact"), splittings.get("localization")
+    if (value is not None and bound is not None
+            and value > bound * (1.0 + numerics.REL_TOL)):
+        del splittings["exact"]
+        failures = {"exact": f"exceeds the localization bound by "
+                             f"{value / bound - 1.0:.3g} relative", **failures}
 
     ref = splittings.get("exact")
     rel_errors = {m: (splittings[m] - ref) / ref for m in ("localization", "wkb")
@@ -268,7 +268,7 @@ def default_width_sweep(delta_v: float, n_points: int = 25) -> SweepSpec:
     elif math.isclose(delta_v, 15.0):
         stop = 2.4
     else:
-        stop = min(0.9 * models.two_minimum_alpha_limit(delta_v), 64.0)
+        stop = 0.9 * models.two_minimum_alpha_limit(delta_v)
     return SweepSpec(family="extended_fixed_dV", start=1.0, stop=stop,
                      n_points=n_points, fixed={"delta_v": delta_v},
                      methods=("exact", "localization"))
@@ -289,8 +289,8 @@ def table1_rows(delta_v: float = TABLE1_DELTA_V,
     """Parameter table of the fixed-dV family, one row per alpha."""
     rows = []
     for alpha in alphas:
-        model = models.TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha),
-                                        alpha=alpha)
+        model = models.TwoGaussianModel(
+            sigma=models.sigma_for_delta_v(delta_v, alpha), alpha=alpha)
         rows.append(Table1Row(
             alpha=alpha,
             sigma_over_x0=model.sigma / model.x0,
@@ -403,7 +403,7 @@ def fixed_dv_family_profiles(
     out = []
     for alpha in alphas:
         model = models.TwoGaussianModel(
-            sigma=sigma_for_delta_v(delta_v, alpha), alpha=alpha)
+            sigma=models.sigma_for_delta_v(delta_v, alpha), alpha=alpha)
         out.append(_profile(
             grid, models.quantum_potential_closed(model, grid),
             "quantum", f"alpha={alpha:g}"))

@@ -4,13 +4,17 @@ Everything works in reduced units: lengths in units of the well half
 separation x0 (kept as an explicit field so dimensional bookkeeping stays
 visible) and energies in units of E_u = hbar^2 / (2 m x0^2).  A model is
 an equilibrium density rho_eq with two maxima at +-x0; its mean-field
-potential is U = -ln rho_eq up to an additive constant, and the associated
-quantum potential is
+potential is U = -ln rho_eq up to an additive constant.  The
+Fokker-Planck-Smoluchowski <-> Schroedinger isomorphism defines the quantum
+potential from the density alone,
 
-    deltaV / E_u = x0^2 * (U'^2 / 4 - U'' / 2),
+    deltaV / E_u = x0^2 (rho_eq^(1/2))'' / rho_eq^(1/2)
+                 = x0^2 (U'^2 / 4 - U'' / 2),
 
 the shifted potential whose Schroedinger operator has rho_eq^(1/2) as its
-exact nodeless ground state at eigenvalue zero.
+exact nodeless ground state at eigenvalue zero.  Each family states
+deltaV in closed form once; ``MeanFieldView`` carries only the density and
+its scales, which is all the localization estimate reads.
 
 Two families are provided:
 
@@ -125,7 +129,7 @@ class TwoGaussianModel:
         halfwidth = self.x0 + 10.0 * self.sigma
         pref = 1.0 / math.sqrt(8.0 * math.pi * self.sigma**2)
         return 1.0 / numerics.integrate_panels(
-            lambda x: pref * np.exp(-_two_gaussian_u(self, x)),
+            lambda x: pref * np.exp(-meanfield_potential(self, x)),
             -halfwidth, halfwidth)
 
 
@@ -151,20 +155,15 @@ ModelLike = Union[TwoGaussianModel, QuarticMeanFieldModel]
 
 @dataclass(frozen=True)
 class MeanFieldView:
-    """Callable bundle describing one model's mean field.
+    """One model's equilibrium density and the scales read with it.
 
-    rho_eq must be normalized to unit integral; d_potential and
-    d2_potential are the first two derivatives of the mean-field potential
-    U = -ln rho_eq + const.  x0 is the reduced length unit entering
-    deltaV/E_u = x0^2 (U'^2/4 - U''/2); x_m is the matching point used by
-    localization (the density maximum, equal to x0 for both families
-    here); domain_halfwidth bounds the region carrying all but
-    negligible density mass.
+    rho_eq must be normalized to unit integral.  x0 is the reduced length
+    unit; x_m is the matching point used by localization (the density
+    maximum, equal to x0 for both families here); domain_halfwidth bounds
+    the region carrying all but negligible density mass.
     """
 
     rho_eq: Callable
-    d_potential: Callable
-    d2_potential: Callable
     x0: float
     x_m: float
     domain_halfwidth: float
@@ -193,27 +192,23 @@ class BarrierHeights:
 # two-Gaussian closed forms
 # ---------------------------------------------------------------------------
 
-def _two_gaussian_u(model: TwoGaussianModel, x) -> np.ndarray:
-    """Mean-field potential before normalization, stable for any x."""
-    x = np.asarray(x, dtype=float)
-    s2 = model.sigma**2
-    u = x * model.x0 / (model.alpha * s2)
-    # alpha * ln(e^u + e^-u) via logaddexp to survive large |u|
-    return (x * x + model.x0**2) / (2.0 * s2) - model.alpha * np.logaddexp(u, -u)
-
-
 def meanfield_potential(model: TwoGaussianModel, x):
     """U(x) = (x^2 + x0^2)/(2 sigma^2) - alpha ln(e^u + e^-u), u = x x0/(alpha sigma^2).
 
     Zero of energy sits at the density maxima up to O(S): U(+-x0) = O(S).
     """
-    return _scalar_or_array(x, _two_gaussian_u(model, x))
+    xa = np.asarray(x, dtype=float)
+    s2 = model.sigma**2
+    u = xa * model.x0 / (model.alpha * s2)
+    # alpha * ln(e^u + e^-u) via logaddexp to survive large |u|
+    return _scalar_or_array(x, (xa * xa + model.x0**2) / (2.0 * s2)
+                            - model.alpha * np.logaddexp(u, -u))
 
 
 def rho_eq(model: TwoGaussianModel, x):
     """Normalized equilibrium density of the two-Gaussian model."""
     pref = model.norm_constant / math.sqrt(8.0 * math.pi * model.sigma**2)
-    return _scalar_or_array(x, pref * np.exp(-_two_gaussian_u(model, x)))
+    return _scalar_or_array(x, pref * np.exp(-meanfield_potential(model, x)))
 
 
 def quantum_potential_closed(model: TwoGaussianModel, x):
@@ -300,42 +295,52 @@ def barrier_width(model: TwoGaussianModel) -> float:
     return 2.0 * right
 
 
-def two_minimum_alpha_limit(delta_v: float, x0: float = 1.0) -> float:
+def sigma_for_du(du: float, x0: float = 1.0) -> float:
+    """sigma reproducing mean-field barrier dU in the alpha = 1 model."""
+    if du <= -math.log(2.0):
+        raise ValueError(f"dU must exceed -ln 2, got {du}")
+    return x0 * math.sqrt(0.5 / (du + math.log(2.0)))
+
+
+def sigma_for_delta_v(delta_v: float, alpha: float, x0: float = 1.0) -> float:
+    """sigma holding the quantum barrier at dV for the given alpha."""
+    if delta_v <= 0:
+        raise ValueError(f"dV must be positive, got {delta_v}")
+    return x0 * (1.0 / (2.0 * alpha * delta_v)) ** 0.25
+
+
+def two_minimum_alpha_limit(delta_v: float) -> float:
     """Largest alpha keeping two minima at fixed quantum barrier delta_v.
 
-    sigma is slaved to (alpha, delta_v) through delta_v = x0^4/(2 alpha
-    sigma^4); the limit is where curvature_at_origin crosses zero.  Returns
-    the capped search bound (64) if no crossing exists below it.
+    With sigma = sigma_for_delta_v(delta_v, alpha) and b = sqrt(2 dV/alpha),
+    x0^2 deltaV''(0) = alpha dV (1 - b)^2 - 4 dV^2/alpha, which vanishes
+    where alpha |1 - b| = 2 sqrt(dV): a quadratic in sqrt(alpha).  Above
+    dV = 16 the curvature first turns positive at its smaller root with
+    b > 1; otherwise only the root with b < 1 exists.  Raises ValueError
+    when the limit is not above alpha = 1.
     """
     if delta_v <= 0:
         raise ValueError("delta_v must be positive")
-
-    def curv(alpha: float) -> float:
-        sigma = x0 * (0.5 / (alpha * delta_v)) ** 0.25
-        return curvature_at_origin(
-            TwoGaussianModel(sigma=sigma, x0=x0, alpha=alpha,
-                             allow_out_of_range=True))
-
-    if curv(1.0) >= 0.0:
-        raise ValueError(
-            f"no two-minimum model exists at delta_v = {delta_v:g} "
-            f"even for alpha = 1"
-        )
-    lo, hi, cap = 1.0, 1.5, 64.0
-    while curv(hi) < 0.0:
-        lo, hi = hi, hi * 1.5
-        if hi > cap:
-            return cap
-    return numerics.find_root_bracketed(curv, lo, hi, tol=1e-12)
+    c = math.sqrt(2.0 * delta_v)
+    q = 8.0 * math.sqrt(delta_v)
+    if delta_v > 16.0:
+        # (c - sqrt(c^2 - q)) / 2, written without the cancellation
+        root = q / (2.0 * (c + math.sqrt(c * c - q)))
+    else:
+        root = 0.5 * (c + math.sqrt(c * c + q))
+    if root <= 1.0:
+        raise ValueError(f"no two-minimum model exists at delta_v = "
+                         f"{delta_v:g} even for alpha = 1")
+    return root * root
 
 
 def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
                      allow_out_of_range: bool = False) -> TwoGaussianModel:
     """Two-Gaussian model with prescribed quantum barrier height and width.
 
-    delta_v fixes sigma for each alpha via delta_v = x0^4/(2 alpha sigma^4);
-    alpha is then solved so that barrier_width matches ``width``.  The width
-    grows monotonically with alpha, so the solution is unique within the
+    delta_v fixes sigma for each alpha through sigma_for_delta_v; alpha is
+    then solved so that barrier_width matches ``width``.  The width grows
+    monotonically with alpha, so the solution is unique within the
     two-minimum range.
 
     Raises ValueError when the requested width falls outside the attainable
@@ -345,11 +350,10 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
         raise ValueError("delta_v and width must be positive")
 
     def model_at(alpha: float) -> TwoGaussianModel:
-        sigma = x0 * (0.5 / (alpha * delta_v)) ** 0.25
-        return TwoGaussianModel(sigma=sigma, x0=x0, alpha=alpha,
-                                allow_out_of_range=True)
+        return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),
+                                x0=x0, alpha=alpha, allow_out_of_range=True)
 
-    alpha_hi = two_minimum_alpha_limit(delta_v, x0) * (1.0 - 1e-9)
+    alpha_hi = two_minimum_alpha_limit(delta_v) * (1.0 - 1e-9)
     w_lo = barrier_width(model_at(1.0))
     w_hi = barrier_width(model_at(alpha_hi))
     if not (w_lo <= width <= w_hi):
@@ -362,8 +366,8 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
     alpha = numerics.find_root_bracketed(
         lambda a: barrier_width(model_at(a)) - width, 1.0, alpha_hi,
         tol=1e-12)
-    sigma = x0 * (0.5 / (alpha * delta_v)) ** 0.25
-    return TwoGaussianModel(sigma=sigma, x0=x0, alpha=alpha,
+    return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),
+                            x0=x0, alpha=alpha,
                             allow_out_of_range=allow_out_of_range)
 
 
@@ -418,63 +422,31 @@ def quartic_barrier_heights(model: QuarticMeanFieldModel) -> BarrierHeights:
 # ---------------------------------------------------------------------------
 
 def two_gaussian_meanfield(model: TwoGaussianModel) -> MeanFieldView:
-    """Mean-field view of a two-Gaussian model (closed-form derivatives)."""
-    s2 = model.sigma**2
-    x0 = model.x0
-    alpha = model.alpha
-
-    def du(x):
-        x = np.asarray(x, dtype=float)
-        u = x * x0 / (alpha * s2)
-        return _scalar_or_array(x, x / s2 - (x0 / s2) * np.tanh(u))
-
-    def d2u(x):
-        x = np.asarray(x, dtype=float)
-        u = x * x0 / (alpha * s2)
-        return _scalar_or_array(x, 1.0 / s2 - x0**2 / (alpha * s2 * s2) * _sech2(u))
-
+    """Mean-field view of a two-Gaussian model."""
     return MeanFieldView(
         rho_eq=lambda x: rho_eq(model, x),
-        d_potential=du,
-        d2_potential=d2u,
-        x0=x0,
-        x_m=x0,
-        domain_halfwidth=x0 + 10.0 * model.sigma,
-        label=f"two_gaussian(sigma={model.sigma:g}, alpha={alpha:g})",
+        x0=model.x0,
+        x_m=model.x0,
+        domain_halfwidth=model.x0 + 10.0 * model.sigma,
+        label=f"two_gaussian(sigma={model.sigma:g}, alpha={model.alpha:g})",
     )
 
 
 def quartic_meanfield(model: QuarticMeanFieldModel) -> MeanFieldView:
     """Mean-field view of the quartic model; density normalized numerically."""
-    x0 = model.x0
-    du_ = model.du
     # e^{-U} drops below e^{-80} past this point
-    halfwidth = x0 * math.sqrt(1.0 + math.sqrt(80.0 / du_))
+    halfwidth = model.x0 * math.sqrt(1.0 + math.sqrt(80.0 / model.du))
 
     def weight(x):
         return np.exp(-quartic_potential(model, x))
 
     z = numerics.integrate_panels(weight, -halfwidth, halfwidth)
-
-    def rho(x):
-        return _scalar_or_array(x, weight(x) / z)
-
-    def d_u(x):
-        s = np.asarray(x, dtype=float) / x0
-        return _scalar_or_array(x, -4.0 * du_ * s * (1.0 - s * s) / x0)
-
-    def d2_u(x):
-        s = np.asarray(x, dtype=float) / x0
-        return _scalar_or_array(x, -4.0 * du_ * (1.0 - 3.0 * s * s) / x0**2)
-
     return MeanFieldView(
-        rho_eq=rho,
-        d_potential=d_u,
-        d2_potential=d2_u,
-        x0=x0,
-        x_m=x0,
+        rho_eq=lambda x: _scalar_or_array(x, weight(x) / z),
+        x0=model.x0,
+        x_m=model.x0,
         domain_halfwidth=halfwidth,
-        label=f"quartic(du={du_:g})",
+        label=f"quartic(du={model.du:g})",
     )
 
 
@@ -486,14 +458,3 @@ def meanfield_view(model: ModelLike) -> MeanFieldView:
         return quartic_meanfield(model)
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
-
-def quantum_potential_from_meanfield(view: MeanFieldView, x):
-    """deltaV(x)/E_u = x0^2 (U'^2/4 - U''/2) from a mean-field view.
-
-    Generic route: uses only the view's derivative callables, so it applies
-    to any model family and serves as the cross-check for the closed forms.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    dU = np.asarray(view.d_potential(x_arr), dtype=float)
-    d2U = np.asarray(view.d2_potential(x_arr), dtype=float)
-    return _scalar_or_array(x, view.x0**2 * (0.25 * dU * dU - 0.5 * d2U))

@@ -32,18 +32,16 @@ def verdict(ok: bool, name: str, detail: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def du_sweep():
-    t0 = time.perf_counter()
-    rows = experiments.run_sweep(experiments.default_du_sweep())
-    return rows, time.perf_counter() - t0
+def du_sweep(default_sweeps):
+    _, rows, elapsed = default_sweeps["du_sweep.json"]
+    return rows, elapsed
 
 
 @pytest.fixture(scope="module")
-def width_sweeps():
-    t0 = time.perf_counter()
-    rows30 = experiments.run_sweep(experiments.default_width_sweep(30.0))
-    rows15 = experiments.run_sweep(experiments.default_width_sweep(15.0))
-    return rows30, rows15, time.perf_counter() - t0
+def width_sweeps(default_sweeps):
+    _, rows30, t30 = default_sweeps["width_sweep_dv30.json"]
+    _, rows15, t15 = default_sweeps["width_sweep_dv15.json"]
+    return rows30, rows15, t30 + t15
 
 
 def test_reference_parameter_table():
@@ -90,7 +88,7 @@ def test_density_square_root_is_ground_state():
     worst_psi = 0.0
     worst_dv = 0.0
     for alpha in TABLE_TARGETS:
-        sigma = experiments.sigma_for_delta_v(30.0, alpha)
+        sigma = models.sigma_for_delta_v(30.0, alpha)
         model = models.TwoGaussianModel(sigma=sigma, alpha=alpha)
         dv = lambda x: models.quantum_potential_closed(model, x)
         x, _, psi0 = fd_ground_state(dv)
@@ -176,7 +174,7 @@ def test_independent_eigensolver_agreement():
     t0 = time.perf_counter()
     worst = 0.0
     for alpha in TABLE_TARGETS:
-        sigma = experiments.sigma_for_delta_v(30.0, alpha)
+        sigma = models.sigma_for_delta_v(30.0, alpha)
         model = models.TwoGaussianModel(sigma=sigma, alpha=alpha)
         dv = lambda x: models.quantum_potential_closed(model, x)
         res = exact.exact_splitting(dv, model.x0,

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from dwsplit import cli, experiments
+from dwsplit import cli, experiments, models
 
 
 def run(capsys, *argv):
@@ -125,7 +125,7 @@ class TestSplit:
         assert f"unknown methods [{bad}]" in err
 
     def test_matches_the_sweep_row(self, capsys):
-        sigma = experiments.sigma_for_du(3.0)
+        sigma = models.sigma_for_du(3.0)
         code, out, _ = run(capsys, "split", "--sigma", repr(sigma))
         assert code == 0
         doc = json.loads(out)
@@ -300,6 +300,34 @@ class TestConfigFile:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == 1
         assert "frobnicate" in err
+
+    def test_bad_choice_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("family = nonsense\ndu = 3:4:2\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "invalid choice: 'nonsense'" in err
+
+    def test_bad_format_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run(capsys, "split", "--sigma", "0.3593",
+                             "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "invalid choice: 'xml'" in err
+
+    def test_switch_values(self, tmp_path, capsys):
+        cfg = tmp_path / "switch.cfg"
+        cfg.write_text("allow_out_of_range = maybe\n")
+        code, out, err = run(capsys, "split", "--sigma", "0.9",
+                             "--methods", "localization", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "allow-out-of-range" in err and "'maybe'" in err
+        for value, expected in (("Yes", 0), ("off", 1)):
+            cfg.write_text(f"allow-out-of-range = {value}\n")
+            code, _, _ = run(capsys, "split", "--sigma", "0.9", "--methods",
+                             "localization", "--config", str(cfg))
+            assert code == expected, value
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "simple-du",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
-from dwsplit import exact, experiments, models
+from dwsplit import exact, models
 
 from helpers import fd_lowest
 
@@ -158,7 +158,7 @@ class TestConvergenceBookkeeping:
     def test_negative_splitting_is_not_converged(self):
         # at dU = 100 the 512-function basis puts the odd level below the
         # even one, within the noise floor of the 256-function result
-        model = models.TwoGaussianModel(sigma=experiments.sigma_for_du(100.0))
+        model = models.TwoGaussianModel(sigma=models.sigma_for_du(100.0))
         dv = lambda x: models.quantum_potential_closed(model, x)
         res = exact.exact_splitting(dv, model.x0,
                                     models.curvature_at_minima(model),

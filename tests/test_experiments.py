@@ -191,6 +191,18 @@ class TestEvaluate:
         assert row.diagnostics["n_basis"] == 8
         assert "ground_level" in row.diagnostics
 
+    def test_exact_above_the_bound_is_a_failure(self):
+        # at dU = 20 the basis ladder settles on 1.35010e-7, above the
+        # variational bound 1.35006e-7 (the true value is 1.350064e-7)
+        row = experiments.evaluate(
+            models.TwoGaussianModel(sigma=models.sigma_for_du(20.0)),
+            ("exact", "localization"))
+        assert set(row.splittings) == {"localization"}
+        assert row.failures["exact"].startswith(
+            "exceeds the localization bound")
+        assert row.rel_errors == {}
+        assert row.diagnostics["n_basis"] == 256
+
     def test_non_finite_splitting_is_a_failure(self, monkeypatch):
         def infinite(view):
             return experiments.localization.LocalizationResult(
@@ -317,7 +329,7 @@ class TestProfiles:
         # companion curves osculate the true ones up to the overlap scale
         for alpha in (1.0, 2.0, 3.0):
             model = models.TwoGaussianModel(
-                sigma=experiments.sigma_for_delta_v(30.0, alpha), alpha=alpha)
+                sigma=models.sigma_for_delta_v(30.0, alpha), alpha=alpha)
             s = models.superposition_coefficient(model)
             scale = 30.0 * s
             x0 = model.x0
@@ -362,9 +374,10 @@ class TestGoldenRegression:
     @pytest.mark.parametrize("name", ["du_sweep.json",
                                       "width_sweep_dv30.json",
                                       "width_sweep_dv15.json"])
-    def test_sweep_reproduces_golden(self, name):
+    def test_sweep_reproduces_golden(self, name, default_sweeps):
         doc = load_golden(name)
-        rows = experiments.run_sweep(spec_from_golden(doc))
+        spec, rows, _ = default_sweeps[name]
+        assert spec_from_golden(doc) == spec
         assert len(rows) == len(doc["rows"])
         for row, ref in zip(rows, doc["rows"]):
             assert not row.failures

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dwsplit import exact, experiments, localization, models, numerics
+from dwsplit import exact, localization, models, numerics
 
 from helpers import trapezoid_localization
 
@@ -28,8 +28,8 @@ class TestAgainstDenseOracle:
     @pytest.mark.parametrize("model", [
         models.QuarticMeanFieldModel(du=5.0),
         models.QuarticMeanFieldModel(du=30.0),
-        models.TwoGaussianModel(sigma=experiments.sigma_for_du(30.0)),
-        models.TwoGaussianModel(sigma=experiments.sigma_for_du(40.0)),
+        models.TwoGaussianModel(sigma=models.sigma_for_du(30.0)),
+        models.TwoGaussianModel(sigma=models.sigma_for_du(40.0)),
     ], ids=["quartic-du5", "quartic-du30", "two_gaussian-du30",
             "two_gaussian-du40"])
     def test_matches_trapezoid_route_high_barriers(self, model):

@@ -15,8 +15,8 @@ LN2 = math.log(2.0)
 
 
 def table_model(alpha, delta_v=30.0):
-    sigma = (1.0 / (2.0 * alpha * delta_v)) ** 0.25
-    return models.TwoGaussianModel(sigma=sigma, alpha=alpha)
+    return models.TwoGaussianModel(
+        sigma=models.sigma_for_delta_v(delta_v, alpha), alpha=alpha)
 
 
 class TestTwoGaussianModel:
@@ -82,15 +82,6 @@ class TestClosedForms:
         assert models.superposition_coefficient(m) == pytest.approx(
             expected, rel=1e-12)
 
-    def test_closed_potential_matches_meanfield_route(self):
-        # same quantity via U'^2/4 - U''/2 with numerical derivatives
-        m = table_model(2.5)
-        view = models.two_gaussian_meanfield(m)
-        for x in (0.0, 0.3, 0.8, 1.0, 1.4):
-            closed = models.quantum_potential_closed(m, x)
-            routed = models.quantum_potential_from_meanfield(view, x)
-            assert routed == pytest.approx(closed, rel=2e-6, abs=2e-5)
-
     def test_vectorized_matches_scalar(self):
         m = table_model(1.0)
         xs = np.linspace(-1.5, 1.5, 7)
@@ -135,6 +126,28 @@ class TestTwoMinimumLimit:
         above = table_model(limit * 1.001)
         assert models.curvature_at_origin(below) < 0
         assert models.curvature_at_origin(above) > 0
+
+    @pytest.mark.parametrize("delta_v", [16.005, 16.01, 16.5, 30.0])
+    def test_first_sign_change_above_alpha_one(self, delta_v):
+        # just above dV = 16 the curvature is positive on a narrow alpha
+        # window only; the limit is where it first leaves the negative side
+        limit = models.two_minimum_alpha_limit(delta_v)
+        curv = [models.curvature_at_origin(table_model(a, delta_v))
+                for a in np.linspace(1.0, limit * (1.0 - 1e-6), 4001)]
+        assert max(curv) < 0
+        assert models.curvature_at_origin(
+            table_model(limit * (1.0 + 1e-6), delta_v)) > 0
+
+    def test_limit_peaks_at_dv_16(self):
+        # the largest limit sits at dV = 16, on the branch with b < 1
+        assert models.two_minimum_alpha_limit(16.0) == pytest.approx(
+            ((math.sqrt(32.0) + 8.0) / 2.0) ** 2, rel=1e-14)
+        assert max(models.two_minimum_alpha_limit(dv)
+                   for dv in np.linspace(0.1, 2000.0, 2001)) < 46.7
+
+    def test_no_limit_at_tiny_barrier(self):
+        with pytest.raises(ValueError, match="even for alpha = 1"):
+            models.two_minimum_alpha_limit(0.08)
 
     def test_larger_at_lower_barrier(self):
         assert models.two_minimum_alpha_limit(15.0) > \
@@ -194,6 +207,20 @@ class TestQuartic:
         m = models.QuarticMeanFieldModel(du=3.0)
         assert models.quartic_potential(m, 1.0) == 0.0
         assert models.quartic_potential(m, 0.0) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("du", [0.5, 3.5, 8.0, 12.0])
+    def test_density_route_recovers_quantum_potential(self, du):
+        # deltaV = x0^2 (sqrt rho)''/sqrt rho, five-point Laplacian
+        model = models.QuarticMeanFieldModel(du=du)
+        rho = models.quartic_meanfield(model).rho_eq
+        psi = lambda y: np.sqrt(rho(y))
+        x = np.linspace(-1.5, 1.5, 801)
+        h = 1e-3
+        lap = (-psi(x + 2 * h) + 16 * psi(x + h) - 30 * psi(x)
+               + 16 * psi(x - h) - psi(x - 2 * h)) / (12 * h * h)
+        closed = models.quartic_quantum_potential(model, x)
+        assert np.max(np.abs(lap / psi(x) - closed)) <= \
+            1e-6 * np.max(np.abs(closed))
 
     def test_view_density_normalized(self):
         view = models.quartic_meanfield(models.QuarticMeanFieldModel(du=2.0))

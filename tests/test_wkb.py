@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dwsplit import exact, experiments, models, numerics, wkb
+from dwsplit import exact, models, numerics, wkb
 
 
 def deep_well(delta_v_height=30.0, width=0.5):
@@ -121,7 +121,7 @@ class TestUnderflow:
 
 class TestAccuracyRegime:
     def test_approaches_exact_for_high_barriers(self):
-        sigma = experiments.sigma_for_du(12.0)
+        sigma = models.sigma_for_du(12.0)
         model = models.TwoGaussianModel(sigma=sigma)
         dv = lambda x: models.quantum_potential_closed(model, x)
         curv = models.curvature_at_minima(model)
