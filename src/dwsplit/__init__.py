@@ -9,55 +9,10 @@ operator -d2/dx2 + deltaV(x) (reduced units, energies in E_u):
 * wkb: a semiclassical baseline with turning points at the well ground level.
 
 See the ``models`` module for the double-well families and ``experiments``
-for the row evaluator, parameter sweeps and table generation.  The
-``dwsplit`` console script exposes all of it from the command line.
+for the row evaluator, parameter sweeps and table generation; import them
+as submodules (``from dwsplit import experiments, models``), since the
+package itself exposes only ``__version__``.  The ``dwsplit`` console
+script exposes all of it from the command line.
 """
 
-from .models import (
-    BarrierHeights,
-    MeanFieldView,
-    PotentialProfile,
-    QuarticMeanFieldModel,
-    TwoGaussianModel,
-    barrier_heights,
-    barrier_width,
-    curvature_at_minima,
-    curvature_at_origin,
-    meanfield_potential,
-    meanfield_view,
-    quantum_potential_closed,
-    quartic_curvature_at_origin,
-    quartic_meanfield,
-    quartic_quantum_potential,
-    rho_eq,
-    solve_parameters,
-    superposition_coefficient,
-    two_gaussian_meanfield,
-    two_minimum_alpha_limit,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BarrierHeights",
-    "MeanFieldView",
-    "PotentialProfile",
-    "QuarticMeanFieldModel",
-    "TwoGaussianModel",
-    "barrier_heights",
-    "barrier_width",
-    "curvature_at_minima",
-    "curvature_at_origin",
-    "meanfield_potential",
-    "meanfield_view",
-    "quantum_potential_closed",
-    "quartic_curvature_at_origin",
-    "quartic_meanfield",
-    "quartic_quantum_potential",
-    "rho_eq",
-    "solve_parameters",
-    "superposition_coefficient",
-    "two_gaussian_meanfield",
-    "two_minimum_alpha_limit",
-    "__version__",
-]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import re
 import sys
@@ -121,20 +120,13 @@ def _sweep_row_record(row: experiments.SweepRow) -> dict:
     return rec
 
 
-def _write_csv(stream, columns, records, meta) -> None:
-    for key in sorted(meta):
-        stream.write(f"# {key} = {_fmt(meta[key])}\n")
-    stream.write(",".join(columns) + "\n")
-    for rec in records:
-        stream.write(",".join(_fmt(rec[c]) for c in columns) + "\n")
-
-
 def _emit(args, columns, records, meta) -> None:
     """Serialize records to args.output (or stdout) in args.format."""
     if args.format == "csv":
-        buf = io.StringIO()
-        _write_csv(buf, columns, records, meta)
-        text = buf.getvalue()
+        lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
+        lines.append(",".join(columns))
+        lines.extend(",".join(_fmt(rec[c]) for c in columns) for rec in records)
+        text = "\n".join(lines) + "\n"
     else:
         rows = [_round12({c: r[c] for c in columns}) for r in records]
         text = json.dumps({"meta": _round12(meta), "rows": rows},
@@ -242,6 +234,9 @@ def cmd_profile(args) -> int:
     grid = np.linspace(start, stop, n)
 
     if args.family is not None:
+        if args.x0 != 1.0:
+            raise _usage_error("--x0 does not apply to --family profiles, "
+                               "which are drawn at x0 = 1")
         if args.family == "quartic-family":
             if not args.du_list:
                 raise _usage_error("--family quartic-family requires --du-list")
@@ -257,7 +252,8 @@ def cmd_profile(args) -> int:
                 raise _usage_error(
                     "--family fixed-dv requires --dv and --alpha-list")
             profiles = experiments.fixed_dv_family_profiles(
-                args.dv, args.alpha_list, grid)
+                args.dv, args.alpha_list, grid,
+                allow_out_of_range=args.allow_out_of_range)
     elif args.quartic:
         if args.du is None:
             raise _usage_error("--quartic requires --du")

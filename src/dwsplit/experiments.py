@@ -20,6 +20,10 @@ the row; an exact value above the localization upper bound is a failure
 too.  ``run_sweep`` builds the model of each swept value and calls it,
 and so does ``dwsplit split`` for its single model, so one pathological
 row cannot abort a long sweep and both commands report the same numbers.
+
+The sigma/x0 band is checked only by the ``TwoGaussianModel`` constructor;
+sigma falls as the swept value grows, so a sweep that leaves the band
+fails on its first row, before any method runs.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ class SweepSpec:
         fixed["delta_v"], all families accept fixed["x0"], and any other
         key is a ValueError.
     methods : subset of METHODS, stored in canonical order.
-    allow_out_of_range : forward to the model constructors (sigma/x0
-        beyond the validated band).
+    allow_out_of_range : forward to the model constructors, which
+        otherwise reject sigma/x0 beyond the validated band.
     """
 
     family: str
@@ -88,31 +92,6 @@ class SweepSpec:
         unread = sorted(set(self.fixed) - set(reads))
         if unread:
             raise ValueError(f"{self.family} does not read fixed{unread}")
-        self._check_validity_band()
-
-    def _check_validity_band(self) -> None:
-        # sigma is monotone in the swept parameter for both Gaussian
-        # families, so checking the endpoints covers the whole range.
-        if self.allow_out_of_range or self.family == "quartic_dU":
-            return
-        x0 = float(self.fixed.get("x0", 1.0))
-        for value in (self.start, self.stop):
-            sigma = self.alpha_sigma(value)[1]
-            if sigma / x0 > models.SIGMA_RATIO_MAX:
-                raise ValueError(
-                    f"swept range leaves the validated band: sigma/x0 = "
-                    f"{sigma / x0:.4f} > {models.SIGMA_RATIO_MAX} at "
-                    f"swept value {value:g}; pass allow_out_of_range=True "
-                    f"to proceed")
-
-    def alpha_sigma(self, value: float) -> tuple[float, float]:
-        """(alpha, sigma) of the two-Gaussian model at one swept value."""
-        x0 = float(self.fixed.get("x0", 1.0))
-        if self.family == "simple_gaussian_dU":
-            return 1.0, models.sigma_for_du(value, x0)
-        delta_v = float(self.fixed["delta_v"])
-        return value, models.sigma_for_delta_v(delta_v, value, x0)
-
     def swept_values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
 
@@ -165,7 +144,7 @@ def evaluate(model: models.ModelLike,
         heights = models.barrier_heights(model)
         try:
             width = models.barrier_width(model)
-        except ValueError:
+        except (ValueError, numerics.NumericsError):
             width = None
         overlap = models.superposition_coefficient(model)
         dv_s = lambda s: models.quantum_potential_closed(model, x0 * s)
@@ -237,11 +216,15 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         value = float(value)
         if spec.family == "quartic_dU":
             model = models.QuarticMeanFieldModel(du=value, x0=x0)
-        else:
-            alpha, sigma = spec.alpha_sigma(value)
+        elif spec.family == "simple_gaussian_dU":
             model = models.TwoGaussianModel(
-                sigma=sigma, x0=x0, alpha=alpha,
+                sigma=models.sigma_for_du(value, x0), x0=x0,
                 allow_out_of_range=spec.allow_out_of_range)
+        else:
+            model = models.TwoGaussianModel(
+                sigma=models.sigma_for_delta_v(
+                    float(spec.fixed["delta_v"]), value, x0),
+                x0=x0, alpha=value, allow_out_of_range=spec.allow_out_of_range)
         rows.append(replace(evaluate(model, spec.methods), swept_value=value))
     return rows
 
@@ -257,8 +240,8 @@ def default_du_sweep() -> SweepSpec:
                      n_points=40, allow_out_of_range=True)
 
 
-def default_width_sweep(delta_v: float, n_points: int = 25) -> SweepSpec:
-    """Fixed-dV sweep over alpha for the splitting-vs-width study.
+def default_width_sweep(delta_v: float) -> SweepSpec:
+    """Fixed-dV sweep over alpha for the splitting-vs-width study, 25 points.
 
     The alpha range stops short of the two-minimum limit at dV = 30 and
     of the strong-overlap region (S ~ 1e-3) at dV = 15.
@@ -270,7 +253,7 @@ def default_width_sweep(delta_v: float, n_points: int = 25) -> SweepSpec:
     else:
         stop = 0.9 * models.two_minimum_alpha_limit(delta_v)
     return SweepSpec(family="extended_fixed_dV", start=1.0, stop=stop,
-                     n_points=n_points, fixed={"delta_v": delta_v},
+                     n_points=25, fixed={"delta_v": delta_v},
                      methods=("exact", "localization"))
 
 
@@ -315,13 +298,6 @@ def table1(delta_v: float = TABLE1_DELTA_V) -> str:
     return "\n".join(lines)
 
 
-def _profile(grid: np.ndarray, values: np.ndarray, kind: str,
-             label: str) -> models.PotentialProfile:
-    return models.PotentialProfile(grid=np.asarray(grid, dtype=float),
-                                   values=np.asarray(values, dtype=float),
-                                   kind=kind, label=label)
-
-
 def emit_profiles(model, grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
     """Mean-field and quantum potential profiles for one model.
 
@@ -333,12 +309,13 @@ def emit_profiles(model, grid: Iterable[float]) -> tuple[models.PotentialProfile
     grid = np.asarray(list(grid), dtype=float)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
+    Profile = models.PotentialProfile
     if isinstance(model, models.QuarticMeanFieldModel):
+        label = f"quartic dU={model.du:g}"
         return (
-            _profile(grid, models.quartic_potential(model, grid),
-                     "meanfield", f"quartic dU={model.du:g}"),
-            _profile(grid, models.quartic_quantum_potential(model, grid),
-                     "quantum", f"quartic dU={model.du:g}"),
+            Profile(models.quartic_potential(model, grid), "meanfield", label),
+            Profile(models.quartic_quantum_potential(model, grid), "quantum",
+                    label),
         )
     if not isinstance(model, models.TwoGaussianModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -347,18 +324,14 @@ def emit_profiles(model, grid: Iterable[float]) -> tuple[models.PotentialProfile
     curv_min = models.curvature_at_minima(model)
     floor = -x0**2 / (2.0 * sigma**2)
     out = [
-        _profile(grid, models.meanfield_potential(model, grid),
-                 "meanfield", label),
-        _profile(grid, models.quantum_potential_closed(model, grid),
-                 "quantum", label),
+        Profile(models.meanfield_potential(model, grid), "meanfield", label),
+        Profile(models.quantum_potential_closed(model, grid), "quantum", label),
     ]
     for side, tag in ((1.0, "right"), (-1.0, "left")):
-        out.append(_profile(
-            grid, (grid - side * x0)**2 / (2.0 * sigma**2),
-            f"meanfield_parabola_{tag}", label))
-        out.append(_profile(
-            grid, floor + 0.5 * curv_min * (grid - side * x0)**2,
-            f"quantum_parabola_{tag}", label))
+        out.append(Profile((grid - side * x0)**2 / (2.0 * sigma**2),
+                           f"meanfield_parabola_{tag}", label))
+        out.append(Profile(floor + 0.5 * curv_min * (grid - side * x0)**2,
+                           f"quantum_parabola_{tag}", label))
     return tuple(out)
 
 
@@ -370,8 +343,8 @@ def quartic_family_profiles(
     out = []
     for du in du_values:
         model = models.QuarticMeanFieldModel(du=du)
-        out.append(_profile(
-            grid, models.quartic_quantum_potential(model, grid) / du,
+        out.append(models.PotentialProfile(
+            models.quartic_quantum_potential(model, grid) / du,
             "quantum_over_dU", f"dU={du:g}"))
     return tuple(out)
 
@@ -388,8 +361,8 @@ def shape_family_profiles(
         model = models.TwoGaussianModel(
             sigma=sigma, alpha=alpha, allow_out_of_range=allow_out_of_range)
         delta_v = models.barrier_heights(model).delta_v
-        out.append(_profile(
-            grid, models.quantum_potential_closed(model, grid) / delta_v,
+        out.append(models.PotentialProfile(
+            models.quantum_potential_closed(model, grid) / delta_v,
             "quantum_over_dV", f"sigma/x0={sigma:g}"))
     return tuple(out)
 
@@ -397,14 +370,16 @@ def shape_family_profiles(
 def fixed_dv_family_profiles(
         delta_v: float,
         alphas: Sequence[float],
-        grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
+        grid: Iterable[float],
+        allow_out_of_range: bool = False) -> tuple[models.PotentialProfile, ...]:
     """Quantum potentials of the fixed-dV family, one curve per alpha."""
     grid = np.asarray(list(grid), dtype=float)
     out = []
     for alpha in alphas:
         model = models.TwoGaussianModel(
-            sigma=models.sigma_for_delta_v(delta_v, alpha), alpha=alpha)
-        out.append(_profile(
-            grid, models.quantum_potential_closed(model, grid),
+            sigma=models.sigma_for_delta_v(delta_v, alpha), alpha=alpha,
+            allow_out_of_range=allow_out_of_range)
+        out.append(models.PotentialProfile(
+            models.quantum_potential_closed(model, grid),
             "quantum", f"alpha={alpha:g}"))
     return tuple(out)

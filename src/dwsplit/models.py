@@ -78,7 +78,8 @@ class TwoGaussianModel:
         Flattening exponent, >= 1.
     allow_out_of_range : bool
         Permit sigma/x0 > 0.5.  Out-of-range models are constructed with a
-        validity warning attached instead of raising.
+        validity warning attached instead of raising.  Sweeps and the CLI
+        rely on this check alone.
 
     Validity warnings (never fatal) are collected in ``validity_warnings``:
     appreciable well overlap (S >= 1e-3) and loss of the two-minimum shape
@@ -89,7 +90,7 @@ class TwoGaussianModel:
     x0: float = 1.0
     alpha: float = 1.0
     allow_out_of_range: bool = False
-    validity_warnings: tuple = field(default=(), compare=False)
+    validity_warnings: tuple = field(default=(), init=False, compare=False)
 
     def __post_init__(self):
         if self.x0 <= 0:
@@ -172,9 +173,8 @@ class MeanFieldView:
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """A sampled potential curve: grid, values and a kind tag."""
+    """A potential curve sampled on the caller's grid: values and a kind tag."""
 
-    grid: np.ndarray
     values: np.ndarray
     kind: str  # "quantum" | "meanfield"
     label: str = ""

@@ -49,6 +49,9 @@ class WkbResult:
     turning_points : (x_left, x_right) = (-x_t, x_t), bracketing the
         forbidden region symmetric about the origin.
     well_frequency : harmonic frequency sqrt(2 deltaV''(x_min)).
+
+    ``wkb_splitting`` guarantees x_left < 0 < x_right and action > 0; the
+    result does not check them again.
     """
 
     splitting: float
@@ -56,13 +59,6 @@ class WkbResult:
     energy: float
     turning_points: tuple[float, float]
     well_frequency: float
-
-    def __post_init__(self) -> None:
-        x_l, x_r = self.turning_points
-        if not (x_l < 0.0 < x_r):
-            raise ValueError(f"turning points must straddle 0, got {self.turning_points}")
-        if self.action <= 0.0:
-            raise ValueError(f"action must be positive, got {self.action}")
 
 
 def barrier_action(delta_v: Callable, energy: float, turning_point: float) -> float:

@@ -219,6 +219,17 @@ class TestSweep:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_width_failure_stays_in_its_row(self, capsys):
+        # at dV = 15 the half-height crossing leaves (0, x0) for large
+        # alpha; those rows lose their width, the sweep carries on
+        code, out, _ = run(capsys, "sweep", "--family", "fixed-dv",
+                           "--dv", "15", "--alpha", "1:30:4",
+                           "--allow-out-of-range", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["width"] is None for r in rows] == [False, False, True, True]
+        assert all(r["splitting_exact"] > 0 for r in rows)
+
 
 class TestProfile:
     def test_requires_grid(self, capsys):
@@ -261,6 +272,22 @@ class TestProfile:
         doc = json.loads(out)
         assert doc["meta"]["column.1"] == "quantum (alpha=1)"
         assert doc["meta"]["column.3"] == "quantum (alpha=3)"
+
+    def test_fixed_dv_family_allows_out_of_range(self, capsys):
+        # dV = 5 at alpha = 1 puts sigma/x0 at 0.56, above the band
+        argv = ("profile", "--family", "fixed-dv", "--dv", "5",
+                "--alpha-list", "1", "--grid", "0:1:3")
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "allow_out_of_range" in err
+        code, out, _ = run(capsys, *argv, "--allow-out-of-range")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[0] == "1"
+
+    def test_family_rejects_x0(self, capsys):
+        code, out, err = run(capsys, "profile", "--family", "quartic-family",
+                             "--du-list", "5", "--x0", "2", "--grid", "0:1:3")
+        assert code == 1 and out == ""
+        assert "--x0" in err
 
     def test_family_flag_validation(self, capsys):
         code, _, err = run(capsys, "profile", "--family", "shape",

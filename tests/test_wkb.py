@@ -15,16 +15,6 @@ def deep_well(delta_v_height=30.0, width=0.5):
     return model, dv
 
 
-class TestResultObject:
-    def test_field_validation(self):
-        with pytest.raises(ValueError, match="straddle"):
-            wkb.WkbResult(splitting=1.0, action=1.0, energy=1.0,
-                          turning_points=(0.2, 0.5), well_frequency=1.0)
-        with pytest.raises(ValueError, match="action"):
-            wkb.WkbResult(splitting=1.0, action=-1.0, energy=1.0,
-                          turning_points=(-0.5, 0.5), well_frequency=1.0)
-
-
 class TestTurningPoints:
     def test_potential_equals_energy_at_turning_point(self):
         model, dv = deep_well()
@@ -32,6 +22,8 @@ class TestTurningPoints:
                                 model.x0)
         x_l, x_r = res.turning_points
         assert x_l == -x_r
+        assert 0.0 < x_r < model.x0
+        assert res.action > 0.0
         scale = abs(dv(0.0))
         assert abs(dv(x_r) - res.energy) < 1e-10 * scale
 
