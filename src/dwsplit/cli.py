@@ -2,10 +2,11 @@
 
 All I/O uses reduced units (lengths in x0, energies in E_u, mean-field
 potential in kT).  ``split`` and ``sweep`` serialize rows of
-``experiments.evaluate`` as CSV (comma-separated, metadata in ``#``-prefixed
-lines, LF line endings) or JSON (``sweep``: "meta" and "rows"; ``split``:
-"meta", the row, its diagnostics and the validity warnings).  Numbers are
-serialized with 12 significant digits.
+``experiments.evaluate`` as CSV (comma-separated, cells with a comma or a
+quote quoted, metadata in ``#``-prefixed lines, LF line endings) or JSON
+(``sweep``: "meta" and "rows"; ``split``: "meta", the row, its diagnostics
+and the validity warnings).  Numbers are serialized with 12 significant
+digits.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 numerical failure.
 """
@@ -95,6 +96,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_cell(value) -> str:
+    """_fmt(value), quoted as in RFC 4180 when it holds a comma or a quote."""
+    text = _fmt(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _round12(value):
     if isinstance(value, float):
         return float(f"{value:.12g}")
@@ -125,7 +134,8 @@ def _emit(args, columns, records, meta) -> None:
     if args.format == "csv":
         lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
         lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(rec[c]) for c in columns) for rec in records)
+        lines.extend(",".join(_csv_cell(rec[c]) for c in columns)
+                     for rec in records)
         text = "\n".join(lines) + "\n"
     else:
         rows = [_round12({c: r[c] for c in columns}) for r in records]
@@ -155,13 +165,16 @@ def cmd_split(args) -> int:
     if args.dv is not None:
         if args.sigma is not None:
             raise _usage_error("give either --sigma or --dv/--width")
+        if args.alpha is not None:
+            raise _usage_error("--dv/--width solve for alpha; drop --alpha")
         model = models.solve_parameters(args.dv, args.width, x0=args.x0,
                                         allow_out_of_range=args.allow_out_of_range)
     else:
         if args.sigma is None:
             raise _usage_error("need --sigma (with --alpha) or --dv/--width")
         model = models.TwoGaussianModel(
-            sigma=args.sigma, x0=args.x0, alpha=args.alpha,
+            sigma=args.sigma, x0=args.x0,
+            alpha=1.0 if args.alpha is None else args.alpha,
             allow_out_of_range=args.allow_out_of_range)
 
     row = experiments.evaluate(model, args.methods)
@@ -232,6 +245,7 @@ def cmd_profile(args) -> int:
     if not start < stop:
         raise _usage_error("grid start must be below stop")
     grid = np.linspace(start, stop, n)
+    alpha = 1.0 if args.alpha is None else args.alpha
 
     if args.family is not None:
         if args.x0 != 1.0:
@@ -245,7 +259,7 @@ def cmd_profile(args) -> int:
             if not args.sigma_list:
                 raise _usage_error("--family shape requires --sigma-list")
             profiles = experiments.shape_family_profiles(
-                args.sigma_list, grid, alpha=args.alpha,
+                args.sigma_list, grid, alpha=alpha,
                 allow_out_of_range=args.allow_out_of_range)
         else:
             if args.dv is None or not args.alpha_list:
@@ -257,6 +271,8 @@ def cmd_profile(args) -> int:
     elif args.quartic:
         if args.du is None:
             raise _usage_error("--quartic requires --du")
+        if args.sigma is not None or args.alpha is not None:
+            raise _usage_error("--quartic takes no --sigma or --alpha")
         profiles = experiments.emit_profiles(
             models.QuarticMeanFieldModel(du=args.du, x0=args.x0), grid)
     else:
@@ -264,7 +280,7 @@ def cmd_profile(args) -> int:
             raise _usage_error(
                 "need --sigma (two-Gaussian), --quartic --du, or --family")
         model = models.TwoGaussianModel(
-            sigma=args.sigma, x0=args.x0, alpha=args.alpha,
+            sigma=args.sigma, x0=args.x0, alpha=alpha,
             allow_out_of_range=args.allow_out_of_range)
         profiles = experiments.emit_profiles(model, grid)
 
@@ -308,7 +324,8 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     split = subs.add_parser("split", help="splitting of one model")
-    split.add_argument("--alpha", type=float, default=1.0)
+    split.add_argument("--alpha", type=float, default=None,
+                       help="shape exponent with --sigma (default 1)")
     split.add_argument("--sigma", type=float, default=None,
                        help="Gaussian width in x0 units")
     split.add_argument("--x0", type=float, default=1.0)
@@ -355,7 +372,9 @@ def build_parser():
     profile.add_argument("--quartic", action="store_true",
                          help="quartic mean-field model (needs --du)")
     profile.add_argument("--du", type=float, default=None)
-    profile.add_argument("--alpha", type=float, default=1.0)
+    profile.add_argument("--alpha", type=float, default=None,
+                         help="shape exponent of the two-Gaussian and "
+                              "shape modes (default 1)")
     profile.add_argument("--sigma", type=float, default=None)
     profile.add_argument("--x0", type=float, default=1.0)
     profile.add_argument("--family",

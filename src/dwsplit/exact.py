@@ -1,12 +1,36 @@
-"""Exact tunneling splitting of the shifted operator -d2/dx2 + deltaV(x).
+"""Exact tunneling splitting of a symmetric double well, two ways.
 
-The operator is represented in an orthonormal harmonic-oscillator (Hermite
-function) basis centered on the barrier at the origin.  Kinetic matrix
-elements are analytic; potential matrix elements use Gauss-Hermite
-quadrature of order 2 n_basis + 32, comfortably beyond polynomial exactness
-for the basis products.  The basis length scale follows the well curvature,
-l = deltaV''(x_min)^(-1/4) in reduced units, and the basis size is doubled
-until the splitting e1 - e0 is stable to a relative tolerance.
+``green_splitting(view)`` works from the equilibrium density of a
+``MeanFieldView`` and serves every row of ``experiments.evaluate``.  With
+psi = rho^(1/2) phi the operator -x0^2 d2/dx2 + deltaV becomes the
+diffusion-picture operator L phi = -x0^2 rho^-1 (rho phi')', whose lowest
+eigenvalue in the odd sector (phi(0) = 0, zero flux at the domain edge)
+is the splitting.  Its inverse is the flux-over-population double
+integral
+
+    (K phi)(x) = x0^-2 integral_0^x ds / rho(s) integral_s^L rho phi dy
+
+(Haenggi, Talkner & Borkovec, Rev. Mod. Phys. 62, 251, 1990), applied
+panel by panel with spectral integration matrices on the 16-point
+Gauss-Legendre nodes (Greengard, SIAM J. Numer. Anal. 28, 1991).  The
+inner integral runs from L inwards as a suffix sum, so it keeps its
+relative accuracy in the tail.  K has a positive kernel, so for positive
+phi the values 1/max(K phi/phi) and 1/min(K phi/phi) bracket the
+eigenvalue (Collatz-Wielandt); inverse iteration starts from the
+localization function g and stops when that bracket closes, and the
+panel count doubles until two counts agree.
+
+``exact_splitting(delta_v, well_location, well_curvature)`` takes a bare
+deltaV(s), for callers that have no density.  It represents the operator
+-d2/ds2 + deltaV in an orthonormal harmonic-oscillator (Hermite function)
+basis centered on the barrier at the origin.  Its converged flag only says
+that two basis sizes agreed, which at high barriers (dU above ~12) does
+not bound the error.  Kinetic matrix elements are analytic; potential matrix
+elements use Gauss-Hermite quadrature of order 2 n_basis + 32, comfortably
+beyond polynomial exactness for the basis products.  The basis length
+scale follows the well curvature, l = deltaV''(x_min)^(-1/4) in reduced
+units, and the basis size is doubled until the splitting e1 - e0 is stable
+to a relative tolerance.
 
 deltaV is even and psi_k(-xi) = (-1)^k psi_k(xi), so the matrix splits
 into an even block (psi_0, psi_2, ...) and an odd block (psi_1, psi_3, ...)
@@ -34,10 +58,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy.linalg import blas
 from scipy.special import roots_hermite
 
 from . import numerics
+from .models import MeanFieldView
 
 
 @dataclass(frozen=True)
@@ -275,3 +301,124 @@ def exact_splitting(
     return ExactSpectrumResult(
         e0=float(e0), e1=float(e1), n_basis_used=basis.n_basis,
         converged=converged, convergence_history=tuple(history))
+
+
+def _forward_integration(nodes, weights):
+    """F[i, j]: weight of f(t_j) in the integral from -1 to t_i of the
+    degree-15 Legendre interpolant of f on the Gauss-Legendre nodes t."""
+    n = nodes.size
+    to_legendre = ((np.arange(n) + 0.5)[:, None]
+                   * legendre.legvander(nodes, n - 1).T * weights)
+    return (legendre.legvander(nodes, n)
+            @ legendre.legint(np.eye(n), lbnd=-1.0) @ to_legendre)
+
+
+# f @ _FORWARD integrates f's interpolant from -1 to each node, f @ _REVERSE
+# from each node to 1 (the mirror image through t -> -t); the last column
+# of both is the whole panel
+_F = _forward_integration(numerics.NODES, numerics.WEIGHTS)
+_FORWARD = np.column_stack([_F.T, numerics.WEIGHTS])
+_REVERSE = np.column_stack([_F[::-1, ::-1].T, numerics.WEIGHTS])
+_GREEN_PANELS = [p for p in numerics.PANELS if p >= 32]
+_GREEN_ITERATIONS = 50
+
+
+@dataclass(frozen=True)
+class GreenSplittingResult:
+    """Lowest odd-sector eigenvalue of the diffusion-picture operator.
+
+    splitting : Rayleigh quotient of the last iterate, E_u units.
+    bracket : (lower, upper) Collatz-Wielandt bounds from the same iterate.
+    n_panels : panel count P of the result, P/2 on [0, x_m] and P/2 on
+        [x_m, domain_halfwidth].
+    iterations : applications of K at that panel count.
+    converged : the bracket closed to REL_TOL at P and at P/2, and the
+        two Rayleigh quotients agree to REL_TOL.
+    """
+
+    splitting: float
+    bracket: tuple[float, float]
+    n_panels: int
+    iterations: int
+    converged: bool
+
+
+def _inverse_iteration(view: MeanFieldView, panels: int):
+    """(value, bracket, iterations, settled) of K iterated on P panels."""
+    edges = np.concatenate([
+        np.linspace(0.0, view.x_m, panels // 2 + 1),
+        np.linspace(view.x_m, view.domain_halfwidth, panels // 2 + 1)[1:]])
+    half = 0.5 * np.diff(edges)[:, None]
+    rho = view.rho_eq(edges[:-1, None] + half * (1.0 + numerics.NODES))
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / rho
+    if not np.all(np.isfinite(inv)):
+        raise numerics.NumericsError(
+            f"1/rho_eq is not finite on the Green's-operator nodes: rho_eq "
+            f"underflows ({view.label})")
+
+    def integrate(f, matrix, running):
+        """Within-panel integrals plus the running sum of whole panels."""
+        part = half * (f @ matrix)
+        return part[:, :-1] + running(part[:, -1])[:, None]
+
+    def prefix(f):          # integral_0^x f
+        return integrate(f, _FORWARD,
+                         lambda t: np.concatenate([[0.0], np.cumsum(t[:-1])]))
+
+    def suffix(f):          # integral_x^L f, summed from L inwards
+        return integrate(f, _REVERSE, lambda t: np.concatenate(
+            [np.cumsum(t[:0:-1])[::-1], [0.0]]))
+
+    # x_m is the edge after panel P/2 - 1, so I is a sum of whole panels
+    i_value = float(np.sum(half[:panels // 2] * (inv[:panels // 2]
+                                                 @ numerics.WEIGHTS)))
+    phi = np.minimum(prefix(inv) / i_value, 1.0)   # localization function g
+    rho_w = half * numerics.WEIGHTS * rho
+    floor = np.sqrt(np.finfo(float).eps)
+    for iteration in range(1, _GREEN_ITERATIONS + 1):
+        psi = prefix(suffix(rho * phi) * inv) / view.x0**2
+        # next to phi(0) = 0 the ratio is one of two tiny numbers; such
+        # nodes are left out so that they cannot hold the bracket open
+        keep = phi > floor * phi.max()
+        ratio = psi[keep] / phi[keep]
+        bracket = (float(1.0 / ratio.max()), float(1.0 / ratio.min()))
+        weighted = rho_w * psi
+        value = float(np.vdot(weighted, phi) / np.vdot(weighted, psi))
+        settled = bracket[1] - bracket[0] <= numerics.REL_TOL * value
+        if settled:
+            break
+        phi = psi / psi.max()
+    return value, bracket, iteration, settled
+
+
+def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
+    """Splitting as the lowest odd-sector eigenvalue of -x0^2 rho^-1 (rho phi')'.
+
+    phi(0) = 0 and the flux rho phi' vanishes at view.domain_halfwidth.
+    Inverse iteration applies the Green's operator
+    (K phi)(x) = x0^-2 integral_0^x ds/rho(s) integral_s^L rho phi dy
+    from the localization function g on P panels of 16 Gauss-Legendre
+    nodes, until the Collatz-Wielandt bracket 1/max(K phi/phi) <= lambda
+    <= 1/min(K phi/phi), over nodes with phi above sqrt(eps) max phi, is
+    narrower than numerics.REL_TOL relative, or for at most 50
+    iterations.  P doubles from 32 until the P/2 and P results both
+    settled and agree to REL_TOL; the P result is returned.  Otherwise
+    the last one, at 4096 panels, comes back with converged=False.
+
+    Raises
+    ------
+    NumericsError
+        If rho_eq underflows on the nodes, so that 1/rho_eq is not finite.
+    """
+    last = None
+    for panels in _GREEN_PANELS:
+        value, bracket, iterations, settled = _inverse_iteration(view, panels)
+        converged = (settled and last is not None and last[1]
+                     and abs(value - last[0]) <= numerics.REL_TOL * value)
+        if converged:
+            break
+        last = value, settled
+    return GreenSplittingResult(splitting=value, bracket=bracket,
+                                n_panels=panels, iterations=iterations,
+                                converged=converged)

@@ -14,12 +14,16 @@ Three sweep families cover the standard studies:
     Quartic mean-field potential swept over dU.
 
 ``evaluate`` turns one model into a row: barrier heights, width, overlap,
-the requested splitting estimates (exact diagonalization, localization
-bound, WKB) and their diagnostics, with each method's failure isolated in
-the row; an exact value above the localization upper bound is a failure
-too.  ``run_sweep`` builds the model of each swept value and calls it,
-and so does ``dwsplit split`` for its single model, so one pathological
-row cannot abort a long sweep and both commands report the same numbers.
+the requested splitting estimates (exact, localization bound, WKB) and
+their diagnostics, with each method's failure isolated in the row.  exact
+is ``exact.green_splitting`` on the model's ``MeanFieldView``: inverse
+iteration on the Green's operator of the diffusion-picture operator,
+converged when its Collatz-Wielandt bracket and two panel counts agree to
+1e-12 relative.  An exact value above the localization upper bound is
+still a failure, as a check of that invariant.  ``run_sweep`` builds the
+model of each swept value and calls it, and so does ``dwsplit split`` for
+its single model, so one pathological row cannot abort a long sweep and
+both commands report the same numbers.
 
 The sigma/x0 band is checked only by the ``TwoGaussianModel`` constructor;
 sigma falls as the swept value grows, so a sweep that leaves the band
@@ -106,8 +110,9 @@ class SweepRow:
     only when the exact value was computed.
     failures maps method name to a short tag when that method raised,
     did not converge or gave a non-finite value, or (exact) exceeded the
-    localization upper bound.
-    diagnostics holds n_basis and ground_level (exact, also unconverged),
+    localization upper bound; "width" maps to the error type and message
+    when the barrier width could not be measured (width is then None).
+    diagnostics holds n_panels and iterations (exact, also unconverged),
     i_integral and g_norm (localization), and turning_points (in the
     unit of width), action and well_frequency (wkb).
     """
@@ -130,22 +135,25 @@ def evaluate(model: models.ModelLike,
              methods: Sequence[str] = METHODS) -> SweepRow:
     """Every requested splitting of one model, as a row with swept_value None.
 
-    In E_u units the operator is -x0^2 d2/dx2 + deltaV(x); exact and wkb
-    get it in s = x/x0 as -d2/ds2 + deltaV(x0 s), with the well at s = 1.
-    A method that raises, does not converge or gives a non-finite value
-    becomes a failure; the other methods still run.  So does an exact value
-    above the localization upper bound by more than numerics.REL_TOL
-    relative, when both were computed.
+    In E_u units the operator is -x0^2 d2/dx2 + deltaV(x).  exact and
+    localization read the model's MeanFieldView; wkb gets the operator in
+    s = x/x0 as -d2/ds2 + deltaV(x0 s), with the well at s = 1.  A method
+    that raises, does not converge or gives a non-finite value becomes a
+    failure; the other methods still run.  So does an exact value above
+    the localization upper bound by more than numerics.REL_TOL relative,
+    when both were computed.  A width that cannot be measured is None and
+    named in failures["width"]; the splittings do not depend on it.
     """
     methods = canonical_methods(methods)
     x0 = model.x0
+    width_failure = None
     if isinstance(model, models.TwoGaussianModel):
         sigma, alpha = model.sigma, model.alpha
         heights = models.barrier_heights(model)
         try:
             width = models.barrier_width(model)
-        except (ValueError, numerics.NumericsError):
-            width = None
+        except (ValueError, numerics.NumericsError) as err:
+            width, width_failure = None, f"{type(err).__name__}: {err}"
         overlap = models.superposition_coefficient(model)
         dv_s = lambda s: models.quantum_potential_closed(model, x0 * s)
         curvature = models.curvature_at_minima(model)
@@ -158,17 +166,19 @@ def evaluate(model: models.ModelLike,
     splittings: dict[str, float] = {}
     failures: dict[str, str] = {}
     diagnostics: dict[str, object] = {}
+    view = None
     for method in methods:
         converged = True
         try:
+            if method != "wkb" and view is None:
+                view = models.meanfield_view(model)
             if method == "exact":
-                res = exact.exact_splitting(dv_s, 1.0, curvature)
+                res = exact.green_splitting(view)
                 converged = res.converged
-                diagnostics.update(n_basis=res.n_basis_used,
-                                   ground_level=res.e0)
+                diagnostics.update(n_panels=res.n_panels,
+                                   iterations=res.iterations)
             elif method == "localization":
-                res = localization.splitting_localization(
-                    models.meanfield_view(model))
+                res = localization.splitting_localization(view)
                 diagnostics.update(i_integral=res.i_value, g_norm=res.g_norm)
             else:
                 res = wkb.wkb_splitting(dv_s, curvature, 1.0)
@@ -179,7 +189,7 @@ def evaluate(model: models.ModelLike,
             failures[method] = f"{type(err).__name__}: {err}"
             continue
         if not converged:
-            failures[method] = "basis not converged"
+            failures[method] = "not converged"
         elif not math.isfinite(res.splitting):
             failures[method] = f"non-finite splitting {res.splitting!r}"
         else:
@@ -192,6 +202,8 @@ def evaluate(model: models.ModelLike,
         del splittings["exact"]
         failures = {"exact": f"exceeds the localization bound by "
                              f"{value / bound - 1.0:.3g} relative", **failures}
+    if width_failure is not None:
+        failures["width"] = width_failure
 
     ref = splittings.get("exact")
     rel_errors = {m: (splittings[m] - ref) / ref for m in ("localization", "wkb")

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from dwsplit import exact, models
+from dwsplit import exact, experiments, models
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -39,6 +39,19 @@ def test_seed_zero_pass_matches_golden(workload):
     assert len(latencies) == 2 * len(grids)
     for grid, out in zip(grids, rows):
         assert workloads.check_rows(grid, out) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_exact_matches_library_split(seed):
+    # cli_split checks the CLI, whose exact comes from evaluate's
+    # Green's-operator solver, against library_split's basis solver
+    alpha, sigma = workloads.cli_model(seed)
+    row = experiments.evaluate(models.TwoGaussianModel(sigma=sigma,
+                                                       alpha=alpha))
+    reference = workloads.library_split(alpha, sigma)
+    for method in workloads.CLI_METHODS:
+        assert math.isclose(row.splittings[method], reference[method],
+                            rel_tol=workloads.GOLDEN_REL[method])
 
 
 def test_tracing_round_trip():

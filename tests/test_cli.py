@@ -60,7 +60,8 @@ class TestSplit:
         assert doc["delta_v"] == pytest.approx(30.0, abs=0.01)
         assert set(doc["splittings"]) == {"exact", "localization", "wkb"}
         assert doc["splittings"]["localization"] > doc["splittings"]["exact"]
-        assert doc["diagnostics"]["n_basis"] >= 64
+        assert doc["diagnostics"]["n_panels"] >= 64
+        assert doc["diagnostics"]["iterations"] >= 1
         assert doc["failures"] == {}
         assert doc["validity_warnings"] == []
 
@@ -70,6 +71,14 @@ class TestSplit:
         doc = json.loads(out)
         assert doc["alpha"] == pytest.approx(2.0, abs=2e-3)
         assert doc["sigma"] == pytest.approx(0.3021, abs=5e-4)
+
+    def test_height_width_pair_rejects_alpha(self, capsys):
+        # the pair fixes alpha; a given --alpha would be dropped silently
+        code, out, err = run(capsys, "split", "--dv", "30", "--width", "0.64",
+                             "--alpha", "2")
+        assert code == 1
+        assert out == ""
+        assert "--alpha" in err
 
     def test_rejects_out_of_range_sigma(self, capsys):
         code, _, err = run(capsys, "split", "--sigma", "0.9")
@@ -93,16 +102,17 @@ class TestSplit:
         assert "failed" in err
 
     def test_sharp_wells_fail_every_method(self, capsys):
-        # the basis ladder does not settle, rho_eq underflows at the barrier
-        # and exp(-Theta) underflows: nothing may enter splittings
+        # rho_eq underflows at the barrier, for exact and localization
+        # alike, and exp(-Theta) underflows: nothing may enter splittings
         code, out, err = run(capsys, "split", "--alpha", "1",
                              "--sigma", "0.025")
         assert code == 2
         doc = json.loads(out)
         assert doc["splittings"] == {}
         assert set(doc["failures"]) == {"exact", "localization", "wkb"}
-        assert doc["failures"]["exact"] == "basis not converged"
-        assert "n_basis" in doc["diagnostics"]
+        assert doc["failures"]["exact"].startswith("NumericsError: ")
+        assert "rho_eq underflows" in doc["failures"]["exact"]
+        assert "n_panels" not in doc["diagnostics"]
         assert "failed" in err
 
     def test_x0_off_one_solves_the_scaled_operator(self, capsys):
@@ -112,8 +122,13 @@ class TestSplit:
         assert code == 0
         doc = json.loads(out)
         assert doc["failures"] == {}
-        assert abs(doc["diagnostics"]["ground_level"]) < 1e-8
         assert doc["splittings"]["localization"] >= doc["splittings"]["exact"]
+        _, out, _ = run(capsys, "split", "--sigma", repr(0.3593 / 1.7),
+                        "--alpha", "2.5")
+        unit = json.loads(out)
+        for method in experiments.METHODS:
+            assert doc["splittings"][method] == pytest.approx(
+                unit["splittings"][method], rel=1e-9)
 
     @pytest.mark.parametrize("methods, bad", [("bessel", "'bessel'"),
                                               ("exact,,wkb", "''")])
@@ -221,7 +236,8 @@ class TestSweep:
 
     def test_width_failure_stays_in_its_row(self, capsys):
         # at dV = 15 the half-height crossing leaves (0, x0) for large
-        # alpha; those rows lose their width, the sweep carries on
+        # alpha; those rows lose their width and name why, the sweep
+        # carries on
         code, out, _ = run(capsys, "sweep", "--family", "fixed-dv",
                            "--dv", "15", "--alpha", "1:30:4",
                            "--allow-out-of-range", "--format", "json")
@@ -229,6 +245,26 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert [r["width"] is None for r in rows] == [False, False, True, True]
         assert all(r["splitting_exact"] > 0 for r in rows)
+        assert ["width=RootBracketError: no sign change" in r["failures"]
+                for r in rows] == [False, False, True, True]
+        # the message holds commas; the CSV cell quotes them
+        code, out, _ = run(capsys, "sweep", "--family", "fixed-dv",
+                           "--dv", "15", "--alpha", "1:30:4",
+                           "--allow-out-of-range")
+        body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+        records = list(csv.DictReader(io.StringIO(body)))
+        assert [r["failures"] for r in records] == [r["failures"] for r in rows]
+        assert all(None not in r for r in records)
+
+    def test_lost_width_alone_keeps_exit_code_zero(self, capsys):
+        sigma = models.sigma_for_delta_v(15.0, 30.0)
+        code, out, _ = run(capsys, "split", "--sigma", repr(sigma),
+                           "--alpha", "30", "--methods", "exact,localization")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["width"] is None
+        assert list(doc["failures"]) == ["width"]
+        assert set(doc["splittings"]) == {"exact", "localization"}
 
 
 class TestProfile:
@@ -263,6 +299,16 @@ class TestProfile:
         mid = doc["rows"][300]
         assert mid["x"] == 0.0
         assert mid["quantum[2]"] == pytest.approx(10.0, rel=1e-9)
+
+    @pytest.mark.parametrize("flag, value", [("--sigma", "0.3"),
+                                             ("--alpha", "3")])
+    def test_quartic_profile_rejects_two_gaussian_flags(self, capsys, flag,
+                                                        value):
+        code, out, err = run(capsys, "profile", "--quartic", "--du", "5",
+                             flag, value, "--grid", "0:1:2")
+        assert code == 1
+        assert out == ""
+        assert flag in err
 
     def test_family_profiles(self, capsys):
         code, out, _ = run(capsys, "profile", "--family", "fixed-dv",

@@ -1,4 +1,4 @@
-"""Tests for the oscillator-basis diagonalization solver."""
+"""Tests for the oscillator-basis solver and the Green's-operator solver."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
-from dwsplit import exact, models
+from dwsplit import exact, localization, models, numerics
 
 from helpers import fd_lowest
 
@@ -175,3 +175,69 @@ class TestConvergenceBookkeeping:
         with pytest.raises(ValueError, match="n_start"):
             exact.exact_splitting(lambda x: x * x, 0.0, 2.0,
                                   n_start=64, n_max=32)
+
+
+class TestGreenSplitting:
+    """Inverse iteration on the Green's operator of the odd sector."""
+
+    @staticmethod
+    def view(du):
+        return models.meanfield_view(models.TwoGaussianModel(
+            sigma=models.sigma_for_du(du), allow_out_of_range=du < 1.31))
+
+    @pytest.mark.parametrize("du, value", [(20.0, 1.350063916e-7),
+                                           (30.0, 1.1193135052e-11),
+                                           (40.0, 7.799048778e-16)])
+    def test_high_barrier_values(self, du, value):
+        res = exact.green_splitting(self.view(du))
+        assert res.converged
+        assert res.splitting == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("du", [1.0, 6.0, 20.0, 40.0])
+    def test_bracket_holds_the_value(self, du):
+        res = exact.green_splitting(self.view(du))
+        lower, upper = res.bracket
+        assert lower <= res.splitting <= upper
+        assert upper - lower <= 1e-12 * res.splitting
+
+    @pytest.mark.parametrize("du", [1.0, 12.0, 40.0])
+    def test_doubling_the_panels_keeps_the_value(self, du, monkeypatch):
+        res = exact.green_splitting(self.view(du))
+        monkeypatch.setattr(exact, "_GREEN_PANELS",
+                            [2 * res.n_panels, 4 * res.n_panels])
+        finer = exact.green_splitting(self.view(du))
+        assert finer.converged and finer.n_panels == 4 * res.n_panels
+        assert finer.splitting == pytest.approx(res.splitting, rel=1e-12)
+
+    def test_localization_bounds_it_up_to_du_40(self):
+        # the localization value is the Rayleigh quotient of the start
+        # vector, so it lies above; at dU = 40 the two meet within an ulp
+        slack = 4.0 * np.finfo(float).eps
+        for du in np.linspace(1.0, 40.0, 14):
+            view = self.view(du)
+            value = exact.green_splitting(view).splitting
+            bound = localization.splitting_localization(view).splitting
+            assert bound >= value * (1.0 - slack), du
+
+    def test_quartic_against_grid_solver(self):
+        model = models.QuarticMeanFieldModel(du=3.0)
+        ref = fd_lowest(lambda x: models.quartic_quantum_potential(model, x))
+        res = exact.green_splitting(models.meanfield_view(model))
+        assert res.splitting == pytest.approx(ref[1] - ref[0], rel=1e-6)
+
+    def test_unconverged_flag_instead_of_raise(self, monkeypatch):
+        # one application of K does not close the bracket at dU = 3
+        monkeypatch.setattr(exact, "_GREEN_ITERATIONS", 1)
+        res = exact.green_splitting(self.view(3.0))
+        assert not res.converged
+        assert res.iterations == 1
+        assert res.n_panels == exact._GREEN_PANELS[-1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", [
+        models.QuarticMeanFieldModel(du=800.0),
+        models.TwoGaussianModel(sigma=0.025),
+    ], ids=["quartic-du800", "two_gaussian-sigma0.025"])
+    def test_density_underflow_raises(self, model):
+        with pytest.raises(numerics.NumericsError, match="underflows"):
+            exact.green_splitting(models.meanfield_view(model))

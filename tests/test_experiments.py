@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ class TestEvaluate:
         assert set(row.splittings) == set(experiments.METHODS)
         assert not row.failures
         assert set(row.diagnostics) == {
-            "n_basis", "ground_level", "i_integral", "g_norm",
+            "n_panels", "iterations", "i_integral", "g_norm",
             "turning_points", "action", "well_frequency"}
         left, right = row.diagnostics["turning_points"]
         assert left == -right and 0.0 < right < row.x0
@@ -180,24 +181,29 @@ class TestEvaluate:
         model = models.QuarticMeanFieldModel(du=3.0)
         row = experiments.evaluate(model, ("wkb", "localization"))
         assert list(row.splittings) == ["localization", "wkb"]
-        assert "n_basis" not in row.diagnostics
+        assert "n_panels" not in row.diagnostics
         assert row.rel_errors == {}
 
     def test_unconverged_exact_is_a_failure_with_diagnostics(self,
                                                               monkeypatch):
-        real = experiments.exact.exact_splitting
-        monkeypatch.setattr(
-            experiments.exact, "exact_splitting",
-            lambda *args: real(*args, tol_rel=1e-15, n_start=4, n_max=8))
+        # one application of K does not close the bracket at dU = 3.2
+        monkeypatch.setattr(experiments.exact, "_GREEN_ITERATIONS", 1)
         row = experiments.evaluate(models.TwoGaussianModel(sigma=0.3593))
-        assert row.failures == {"exact": "basis not converged"}
+        assert row.failures == {"exact": "not converged"}
         assert "exact" not in row.splittings and row.rel_errors == {}
-        assert row.diagnostics["n_basis"] == 8
-        assert "ground_level" in row.diagnostics
+        assert row.diagnostics["n_panels"] == 4096
+        assert row.diagnostics["iterations"] == 1
 
-    def test_exact_above_the_bound_is_a_failure(self):
-        # at dU = 20 the basis ladder settles on 1.35010e-7, above the
-        # variational bound 1.35006e-7 (the true value is 1.350064e-7)
+    def test_exact_above_the_bound_is_a_failure(self, monkeypatch):
+        # the Green's-operator value obeys the bound, so a result 1 %
+        # above it stands in for a broken solver
+        real = experiments.exact.green_splitting
+
+        def above(view):
+            res = real(view)
+            return replace(res, splitting=1.01 * res.splitting)
+
+        monkeypatch.setattr(experiments.exact, "green_splitting", above)
         row = experiments.evaluate(
             models.TwoGaussianModel(sigma=models.sigma_for_du(20.0)),
             ("exact", "localization"))
@@ -205,7 +211,15 @@ class TestEvaluate:
         assert row.failures["exact"].startswith(
             "exceeds the localization bound")
         assert row.rel_errors == {}
-        assert row.diagnostics["n_basis"] == 256
+        assert row.diagnostics["n_panels"] == 64
+
+    @pytest.mark.parametrize("du", [20.0, 30.0, 40.0])
+    def test_high_barrier_rows_report_exact(self, du):
+        row = experiments.evaluate(
+            models.TwoGaussianModel(sigma=models.sigma_for_du(du)),
+            ("exact", "localization"))
+        assert not row.failures
+        assert set(row.splittings) == {"exact", "localization"}
 
     def test_non_finite_splitting_is_a_failure(self, monkeypatch):
         def infinite(view):
