@@ -5,7 +5,7 @@ operator -d2/dx2 + deltaV(x) (reduced units, energies in E_u):
 
 * localization: the variational estimate 2 x0^2 / (I * <g|rho|g>) built from
   a piecewise localization function and the equilibrium density;
-* exact: diagonalization in a harmonic-oscillator basis;
+* exact: inverse iteration from that function on the Green's operator;
 * wkb: a semiclassical baseline with turning points at the well ground level.
 
 See the ``models`` module for the double-well families and ``experiments``

@@ -48,6 +48,22 @@ _FAMILY_TAGS = {
 }
 
 
+# Per sweep family and profile mode: the flags it needs, and the others it
+# reads of those that some mode ignores (see _check_mode).
+_SWEEP_MODES = {
+    "--family simple-du": (("du",), ("x0", "allow_out_of_range")),
+    "--family quartic-du": (("du",), ("x0",)),
+    "--family fixed-dv": (("dv", "alpha"), ("x0", "allow_out_of_range")),
+}
+_PROFILE_MODES = {
+    "--family quartic-family": (("du_list",), ()),
+    "--family shape": (("sigma_list",), ("alpha", "allow_out_of_range")),
+    "--family fixed-dv": (("dv", "alpha_list"), ("allow_out_of_range",)),
+    "--quartic": (("du",), ("quartic", "x0")),
+    "--sigma": ((), ("sigma", "alpha", "x0", "allow_out_of_range")),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the contract wants 1.
 
@@ -115,7 +131,7 @@ def _round12(value):
 
 
 def _sweep_row_record(row: experiments.SweepRow) -> dict:
-    rec = {
+    return {
         "swept_value": row.swept_value, "x0": row.x0, "sigma": row.sigma,
         "alpha": row.alpha, "delta_u": row.delta_u, "delta_v": row.delta_v,
         "width": row.width, "overlap": row.overlap,
@@ -126,7 +142,6 @@ def _sweep_row_record(row: experiments.SweepRow) -> dict:
         "relerr_wkb": row.rel_errors.get("wkb"),
         "failures": "|".join(f"{k}={v}" for k, v in row.failures.items()),
     }
-    return rec
 
 
 def _emit(args, columns, records, meta) -> None:
@@ -199,18 +214,13 @@ def cmd_sweep(args) -> int:
     if args.family is None:
         raise _usage_error("--family is required (simple-du, fixed-dv, "
                            "quartic-du), via flag or config file")
+    _check_mode(args, _SWEEP_MODES, f"--family {args.family}")
     family = _FAMILY_TAGS[args.family]
     fixed = {"x0": args.x0}
     if family == "extended_fixed_dV":
-        if args.dv is None:
-            raise _usage_error("--family fixed-dv requires --dv")
-        if args.alpha is None:
-            raise _usage_error("--family fixed-dv requires --alpha START:STOP:N")
         start, stop, n = args.alpha
         fixed["delta_v"] = args.dv
     else:
-        if args.du is None:
-            raise _usage_error(f"--family {args.family} requires --du START:STOP:N")
         start, stop, n = args.du
     spec = experiments.SweepSpec(
         family=family, start=start, stop=stop, n_points=n, fixed=fixed,
@@ -246,39 +256,30 @@ def cmd_profile(args) -> int:
         raise _usage_error("grid start must be below stop")
     grid = np.linspace(start, stop, n)
     alpha = 1.0 if args.alpha is None else args.alpha
-
     if args.family is not None:
-        if args.x0 != 1.0:
-            raise _usage_error("--x0 does not apply to --family profiles, "
-                               "which are drawn at x0 = 1")
-        if args.family == "quartic-family":
-            if not args.du_list:
-                raise _usage_error("--family quartic-family requires --du-list")
-            profiles = experiments.quartic_family_profiles(args.du_list, grid)
-        elif args.family == "shape":
-            if not args.sigma_list:
-                raise _usage_error("--family shape requires --sigma-list")
-            profiles = experiments.shape_family_profiles(
-                args.sigma_list, grid, alpha=alpha,
-                allow_out_of_range=args.allow_out_of_range)
-        else:
-            if args.dv is None or not args.alpha_list:
-                raise _usage_error(
-                    "--family fixed-dv requires --dv and --alpha-list")
-            profiles = experiments.fixed_dv_family_profiles(
-                args.dv, args.alpha_list, grid,
-                allow_out_of_range=args.allow_out_of_range)
+        mode = f"--family {args.family}"
     elif args.quartic:
-        if args.du is None:
-            raise _usage_error("--quartic requires --du")
-        if args.sigma is not None or args.alpha is not None:
-            raise _usage_error("--quartic takes no --sigma or --alpha")
+        mode = "--quartic"
+    elif args.sigma is None:
+        raise _usage_error(
+            "need --sigma (two-Gaussian), --quartic --du, or --family")
+    else:
+        mode = "--sigma"
+    _check_mode(args, _PROFILE_MODES, mode)
+    if args.family == "quartic-family":
+        profiles = experiments.quartic_family_profiles(args.du_list, grid)
+    elif args.family == "shape":
+        profiles = experiments.shape_family_profiles(
+            args.sigma_list, grid, alpha=alpha,
+            allow_out_of_range=args.allow_out_of_range)
+    elif args.family == "fixed-dv":
+        profiles = experiments.fixed_dv_family_profiles(
+            args.dv, args.alpha_list, grid,
+            allow_out_of_range=args.allow_out_of_range)
+    elif args.quartic:
         profiles = experiments.emit_profiles(
             models.QuarticMeanFieldModel(du=args.du, x0=args.x0), grid)
     else:
-        if args.sigma is None:
-            raise _usage_error(
-                "need --sigma (two-Gaussian), --quartic --du, or --family")
         model = models.TwoGaussianModel(
             sigma=args.sigma, x0=args.x0, alpha=alpha,
             allow_out_of_range=args.allow_out_of_range)
@@ -296,6 +297,21 @@ def cmd_profile(args) -> int:
         records.append(rec)
     _emit(args, columns, records, meta)
     return 0
+
+
+def _check_mode(args, modes: dict, mode: str) -> None:
+    """Usage error for a flag that mode needs but that is at its default,
+    or for flags of the table that mode does not read but that are off
+    theirs.  The flags outside the table are read in every mode."""
+    defaults = vars(build_parser().parse_args([args.command]))
+    needs, reads = modes[mode]
+    table = {k for flags in modes.values() for k in flags[0] + flags[1]}
+    given = {k for k in table if getattr(args, k) != defaults[k]}
+    for problem, flags in (("requires", [k for k in needs if k not in given]),
+                           ("does not read", sorted(given - {*needs, *reads}))):
+        if flags:
+            raise _usage_error(f"{mode} {problem} " + ", ".join(
+                "--" + k.replace("_", "-") for k in flags))
 
 
 def _usage_error(message: str) -> SystemExit:

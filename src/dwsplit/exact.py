@@ -4,21 +4,15 @@
 ``MeanFieldView`` and serves every row of ``experiments.evaluate``.  With
 psi = rho^(1/2) phi the operator -x0^2 d2/dx2 + deltaV becomes the
 diffusion-picture operator L phi = -x0^2 rho^-1 (rho phi')', whose lowest
-eigenvalue in the odd sector (phi(0) = 0, zero flux at the domain edge)
-is the splitting.  Its inverse is the flux-over-population double
-integral
-
-    (K phi)(x) = x0^-2 integral_0^x ds / rho(s) integral_s^L rho phi dy
-
-(Haenggi, Talkner & Borkovec, Rev. Mod. Phys. 62, 251, 1990), applied
-panel by panel with spectral integration matrices on the 16-point
-Gauss-Legendre nodes (Greengard, SIAM J. Numer. Anal. 28, 1991).  The
-inner integral runs from L inwards as a suffix sum, so it keeps its
-relative accuracy in the tail.  K has a positive kernel, so for positive
-phi the values 1/max(K phi/phi) and 1/min(K phi/phi) bracket the
-eigenvalue (Collatz-Wielandt); inverse iteration starts from the
-localization function g and stops when that bracket closes, and the
-panel count doubles until two counts agree.
+eigenvalue in the odd sector is the splitting.  Its inverse K is the
+flux-over-population double integral (Haenggi, Talkner & Borkovec, Rev.
+Mod. Phys. 62, 251, 1990).  K acts on the density discretization of the
+localization estimate: `localization.panel_density` and
+`localization.localization_function` give rho, 1/rho and the start vector
+g on the panel nodes, and both integrals are `numerics.running_integral`,
+the inner one summed from L inwards so that it keeps its relative
+accuracy in the tail.  The localization estimate is the Rayleigh quotient
+of g, so inverse iteration only improves on it.
 
 ``exact_splitting(delta_v, well_location, well_curvature)`` takes a bare
 deltaV(s), for callers that have no density.  It represents the operator
@@ -58,11 +52,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import legendre
 from scipy.linalg import blas
 from scipy.special import roots_hermite
 
-from . import numerics
+from . import localization, numerics
 from .models import MeanFieldView
 
 
@@ -303,22 +296,6 @@ def exact_splitting(
         converged=converged, convergence_history=tuple(history))
 
 
-def _forward_integration(nodes, weights):
-    """F[i, j]: weight of f(t_j) in the integral from -1 to t_i of the
-    degree-15 Legendre interpolant of f on the Gauss-Legendre nodes t."""
-    n = nodes.size
-    to_legendre = ((np.arange(n) + 0.5)[:, None]
-                   * legendre.legvander(nodes, n - 1).T * weights)
-    return (legendre.legvander(nodes, n)
-            @ legendre.legint(np.eye(n), lbnd=-1.0) @ to_legendre)
-
-
-# f @ _FORWARD integrates f's interpolant from -1 to each node, f @ _REVERSE
-# from each node to 1 (the mirror image through t -> -t); the last column
-# of both is the whole panel
-_F = _forward_integration(numerics.NODES, numerics.WEIGHTS)
-_FORWARD = np.column_stack([_F.T, numerics.WEIGHTS])
-_REVERSE = np.column_stack([_F[::-1, ::-1].T, numerics.WEIGHTS])
 _GREEN_PANELS = [p for p in numerics.PANELS if p >= 32]
 _GREEN_ITERATIONS = 50
 
@@ -345,39 +322,13 @@ class GreenSplittingResult:
 
 def _inverse_iteration(view: MeanFieldView, panels: int):
     """(value, bracket, iterations, settled) of K iterated on P panels."""
-    edges = np.concatenate([
-        np.linspace(0.0, view.x_m, panels // 2 + 1),
-        np.linspace(view.x_m, view.domain_halfwidth, panels // 2 + 1)[1:]])
-    half = 0.5 * np.diff(edges)[:, None]
-    rho = view.rho_eq(edges[:-1, None] + half * (1.0 + numerics.NODES))
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / rho
-    if not np.all(np.isfinite(inv)):
-        raise numerics.NumericsError(
-            f"1/rho_eq is not finite on the Green's-operator nodes: rho_eq "
-            f"underflows ({view.label})")
-
-    def integrate(f, matrix, running):
-        """Within-panel integrals plus the running sum of whole panels."""
-        part = half * (f @ matrix)
-        return part[:, :-1] + running(part[:, -1])[:, None]
-
-    def prefix(f):          # integral_0^x f
-        return integrate(f, _FORWARD,
-                         lambda t: np.concatenate([[0.0], np.cumsum(t[:-1])]))
-
-    def suffix(f):          # integral_x^L f, summed from L inwards
-        return integrate(f, _REVERSE, lambda t: np.concatenate(
-            [np.cumsum(t[:0:-1])[::-1], [0.0]]))
-
-    # x_m is the edge after panel P/2 - 1, so I is a sum of whole panels
-    i_value = float(np.sum(half[:panels // 2] * (inv[:panels // 2]
-                                                 @ numerics.WEIGHTS)))
-    phi = np.minimum(prefix(inv) / i_value, 1.0)   # localization function g
+    half, rho, inv = localization.panel_density(view, panels)
+    _, phi = localization.localization_function(half, inv)
     rho_w = half * numerics.WEIGHTS * rho
     floor = np.sqrt(np.finfo(float).eps)
     for iteration in range(1, _GREEN_ITERATIONS + 1):
-        psi = prefix(suffix(rho * phi) * inv) / view.x0**2
+        psi = numerics.running_integral(numerics.running_integral(
+            rho * phi, half, reverse=True) * inv, half) / view.x0**2
         # next to phi(0) = 0 the ratio is one of two tiny numbers; such
         # nodes are left out so that they cannot hold the bracket open
         keep = phi > floor * phi.max()
@@ -399,12 +350,14 @@ def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
     Inverse iteration applies the Green's operator
     (K phi)(x) = x0^-2 integral_0^x ds/rho(s) integral_s^L rho phi dy
     from the localization function g on P panels of 16 Gauss-Legendre
-    nodes, until the Collatz-Wielandt bracket 1/max(K phi/phi) <= lambda
-    <= 1/min(K phi/phi), over nodes with phi above sqrt(eps) max phi, is
-    narrower than numerics.REL_TOL relative, or for at most 50
-    iterations.  P doubles from 32 until the P/2 and P results both
-    settled and agree to REL_TOL; the P result is returned.  Otherwise
-    the last one, at 4096 panels, comes back with converged=False.
+    nodes.  K has a positive kernel, so for positive phi the
+    Collatz-Wielandt bracket 1/max(K phi/phi) <= lambda <= 1/min(K phi/phi)
+    holds.  Iteration stops when that bracket, over nodes with phi above
+    sqrt(eps) max phi, is narrower than numerics.REL_TOL relative, or
+    after 50 iterations.  P doubles from 32 until the P/2 and P results
+    both settled and agree to REL_TOL; the P result is returned.
+    Otherwise the last one, at 4096 panels, comes back with
+    converged=False.
 
     Raises
     ------

@@ -14,15 +14,16 @@ x_m is the density maximum.  The splitting estimate in reduced units is
 
 a Rayleigh-Ritz style upper bound on the true deltaE1: g * rho_eq^(1/2) is
 the trial excited state orthogonal to the exact ground state rho_eq^(1/2).
-The bound tightens exponentially as the wells separate.
+The bound tightens exponentially as the wells separate.  It is the
+Rayleigh quotient of g for the operator that `exact.green_splitting`
+inverts, and g is where that iteration starts.
 
-All integrals use the 16-point Gauss-Legendre rule of `numerics` on P
-equal panels.  The panel sums of 1/rho_eq on [0, x_m] form a prefix array ending in I, and
-`_cumulative` adds the same rule on the rest of x's panel to give C(x) =
-integral_0^x dy / rho_eq for any array x: g on the panel nodes, where
-<g|rho_eq|g> is summed, and in `localization_g`.  P doubles from 8 until I
-and the norm settle to 1e-12 relative; NumericsError is raised past 4096
-panels or when either is not finite and positive (rho_eq underflow).
+Both read one discretization: P/2 equal panels on [0, x_m] and P/2 on
+[x_m, domain_halfwidth], with rho_eq and 1/rho_eq on the 16 Gauss-Legendre
+nodes of each panel (`panel_density`, the one rho_eq underflow check),
+and I and g on those nodes (`localization_function`).  Here P doubles
+from 16 until I and <g|rho_eq|g> settle to 1e-12 relative; NumericsError
+is raised if they have not at 8192 panels.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import numerics
 from .models import MeanFieldView
-from .numerics import PANELS, REL_TOL, gauss_panels
+from .numerics import NODES, PANELS, REL_TOL, WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -52,54 +53,56 @@ class LocalizationResult:
     x_m: float
 
 
-def _cumulative(view: MeanFieldView, edges, prefix, x):
-    """C(x) = integral_0^x dy / rho_eq for 0 <= x <= x_m; prefix[j] = C(edges[j])."""
-    j = np.searchsorted(edges, x, side="right") - 1
-    return prefix[j] + gauss_panels(lambda y: 1.0 / view.rho_eq(y), edges[j], x)
+def panel_density(view: MeanFieldView, panels: int):
+    """(half, rho, inv) on P panels: P/2 on [0, x_m], P/2 on [x_m, L].
 
-
-def _settle(view: MeanFieldView):
-    """Panel edges, prefix sums of 1/rho_eq and <g|rho_eq|g> once settled."""
-    last = None
+    half holds the panel half-widths, shape (P, 1); rho and inv hold
+    rho_eq and 1/rho_eq on the NODES of each panel, shape (P, 16).
+    Raises NumericsError if 1/rho_eq is not finite there (rho_eq underflows).
+    """
+    edges = np.concatenate([
+        np.linspace(0.0, view.x_m, panels // 2 + 1),
+        np.linspace(view.x_m, view.domain_halfwidth, panels // 2 + 1)[1:]])
+    half = 0.5 * np.diff(edges)[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for n in PANELS:
-            edges = np.linspace(0.0, view.x_m, n + 1)
-            tail = np.linspace(view.x_m, view.domain_halfwidth, n + 1)
-            prefix = np.concatenate([[0.0], np.cumsum(
-                gauss_panels(lambda y: 1.0 / view.rho_eq(y), edges[:-1], edges[1:]))])
-
-            def g2rho(y):
-                g = np.minimum(_cumulative(view, edges, prefix, y) / prefix[-1], 1.0)
-                return g * g * view.rho_eq(y)
-
-            # integrand is even: double the half-line result
-            g_norm = 2.0 * (gauss_panels(g2rho, edges[:-1], edges[1:]).sum()
-                            + gauss_panels(view.rho_eq, tail[:-1], tail[1:]).sum())
-            current = np.array([prefix[-1], g_norm])
-            for name, value in zip(("integral I", "norm <g|rho_eq|g>"), current):
-                if not (np.isfinite(value) and value > 0.0):
-                    raise numerics.NumericsError(
-                        f"{name} is not finite and positive: {value} ({view.label})")
-            if last is not None and np.all(abs(current - last) <= REL_TOL * current):
-                return edges, prefix, float(g_norm)
-            last = current
-    raise numerics.NumericsError(
-        f"localization integrals not settled to {REL_TOL:g} relative with "
-        f"{PANELS[-1]} panels ({view.label})")
+        rho = view.rho_eq(edges[:-1, None] + half * (1.0 + NODES))
+        inv = 1.0 / rho
+    if not np.all(np.isfinite(inv)):
+        raise numerics.NumericsError(
+            f"1/rho_eq is not finite on the panel nodes: rho_eq underflows "
+            f"({view.label})")
+    return half, rho, inv
 
 
-def localization_g(view: MeanFieldView, x):
-    """g at x (scalar or array): odd, nondecreasing, +-1 for |x| >= x_m."""
-    edges, prefix, _ = _settle(view)
-    x = np.asarray(x, dtype=float)
-    c = _cumulative(view, edges, prefix, np.minimum(np.abs(x), view.x_m))
-    g = np.sign(x) * np.minimum(c / prefix[-1], 1.0)
-    return float(g) if g.ndim == 0 else g
+def localization_function(half, inv):
+    """(I, g) on the nodes of `panel_density`'s panels.
+
+    I = integral_0^{x_m} dy / rho_eq sums the first P/2 panels whole;
+    g = min(C/I, 1) with C the running integral of 1/rho_eq, and g = 1 on
+    every node of [x_m, L].
+    """
+    m = half.shape[0] // 2
+    i_value = float(half[:m, 0] @ (inv[:m] @ WEIGHTS))
+    g = np.ones_like(inv)
+    g[:m] = np.minimum(numerics.running_integral(inv[:m], half[:m]) / i_value,
+                       1.0)
+    return i_value, g
 
 
 def splitting_localization(view: MeanFieldView) -> LocalizationResult:
     """Localization-function upper bound on the tunneling splitting."""
-    _, prefix, g_norm = _settle(view)
-    i_value = float(prefix[-1])
-    return LocalizationResult(splitting=2.0 * view.x0**2 / (i_value * g_norm),
-                              i_value=i_value, g_norm=g_norm, x_m=view.x_m)
+    last = None
+    for n in PANELS:
+        half, rho, inv = panel_density(view, 2 * n)
+        i_value, g = localization_function(half, inv)
+        # the integrand is even: double the half-line sum
+        current = np.array([i_value, 2.0 * np.sum(half * WEIGHTS * g * g * rho)])
+        if last is not None and np.all(abs(current - last) <= REL_TOL * current):
+            g_norm = float(current[1])
+            return LocalizationResult(
+                splitting=2.0 * view.x0**2 / (i_value * g_norm),
+                i_value=i_value, g_norm=g_norm, x_m=view.x_m)
+        last = current
+    raise numerics.NumericsError(
+        f"localization integrals not settled to {REL_TOL:g} relative with "
+        f"{2 * PANELS[-1]} panels ({view.label})")

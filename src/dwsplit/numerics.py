@@ -1,12 +1,16 @@
 """Shared double-precision numerical kernels.
 
 One quadrature rule serves every integral in the package: a 16-point
-Gauss-Legendre rule on P equal panels (`gauss_panels` sums it panel by
-panel, `integrate_panels` doubles P from 8 until two successive sums agree
-to 1e-12 relative).  The integrands are analytic, so the panel sums
-converge geometrically in P.  Besides the rule there are a bracketed root
-finder (Illinois false position) and the LAPACK symmetric eigensolver.
-The Gauss-Hermite rule stays in `exact`, where it is used.
+Gauss-Legendre rule on P panels (`integrate_panels` doubles P from 8
+until two successive sums agree to 1e-12 relative).  The integrands are
+analytic, so the panel sums converge geometrically in P.
+`running_integral` is the rule's cumulative form, used by the density
+discretization that `localization` and `exact` share: the integral up to
+or beyond each node, from the degree-15 interpolant within a panel
+(Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels.
+Besides the rule there are a bracketed root finder (Illinois false
+position) and the LAPACK symmetric eigensolver.  The Gauss-Hermite rule
+stays in `exact`, where it is used.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy import linalg
 from scipy.linalg import blas
 
-NODES, WEIGHTS = np.polynomial.legendre.leggauss(16)
+NODES, WEIGHTS = legendre.leggauss(16)
 PANELS = [8 << k for k in range(10)]  # 8, 16, ..., 4096
 REL_TOL = 1e-12
 
@@ -34,10 +39,30 @@ class EigenSolverError(NumericsError):
     """Symmetric eigensolver failed or produced residuals above tolerance."""
 
 
-def gauss_panels(f, a, b):
-    """Gauss-Legendre integrals of a vectorized f over [a, b], elementwise in a, b."""
-    half = 0.5 * (b - a)
-    return half * (f((a + half)[..., None] + half[..., None] * NODES) @ WEIGHTS)
+# _F[i, j] weighs f(t_j) in the integral from -1 to t_i of the degree-15
+# Legendre interpolant of f on t = NODES; _REVERSE is its mirror image, from
+# t_i to 1.  The last column of _FORWARD and _REVERSE is the whole panel.
+_F = (legendre.legvander(NODES, 16) @ legendre.legint(np.eye(16), lbnd=-1.0)
+      @ ((np.arange(16) + 0.5)[:, None] * legendre.legvander(NODES, 15).T
+         * WEIGHTS))
+_FORWARD = np.column_stack([_F.T, WEIGHTS])
+_REVERSE = np.column_stack([_F[::-1, ::-1].T, WEIGHTS])
+
+
+def running_integral(f, half, reverse=False):
+    """Integral of f from the first panel's left edge to each node.
+
+    f holds the values on the NODES of P adjoining panels, shape (P, 16),
+    and half their half-widths, shape (P, 1).  With reverse=True the
+    integral runs from each node to the last panel's right edge, and the
+    whole panels are summed from that edge inwards, so a tail that decays
+    towards it keeps its relative accuracy.  Exact for a polynomial of
+    degree <= 15 on each panel.
+    """
+    part = half * (f @ (_REVERSE if reverse else _FORWARD))
+    whole = part[::-1, -1] if reverse else part[:, -1]
+    before = np.concatenate([[0.0], np.cumsum(whole[:-1])])
+    return part[:, :-1] + (before[::-1] if reverse else before)[:, None]
 
 
 def integrate_panels(f: Callable, a: float, b: float) -> float:
@@ -55,7 +80,9 @@ def integrate_panels(f: Callable, a: float, b: float) -> float:
     last = None
     for n in PANELS:
         edges = np.linspace(a, b, n + 1)
-        value = float(gauss_panels(f, edges[:-1], edges[1:]).sum())
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + half)[:, None] + half[:, None] * NODES
+        value = float((half * (f(nodes) @ WEIGHTS)).sum())
         if not np.isfinite(value):
             raise NumericsError(f"integral over [{a}, {b}] is not finite: {value}")
         if last is not None and abs(value - last) <= REL_TOL * abs(value):

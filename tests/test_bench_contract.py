@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from dwsplit import exact, experiments, models
+from dwsplit import exact, experiments, localization, models
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -68,3 +68,23 @@ def test_tracing_round_trip():
     assert tracer.stats["exact.calls"] == 1
     assert (exact.exact_splitting,
             models.TwoGaussianModel.__dict__["__post_init__"]) == originals
+
+
+def test_tracing_round_trip_of_evaluate():
+    # exact reads the density discretization through localization's
+    # public functions, which the tracer wraps as well
+    originals = (experiments.evaluate, localization.localization_function)
+    model = models.TwoGaussianModel(sigma=CLI_MODEL[1], alpha=CLI_MODEL[0])
+    plain = experiments.evaluate(model)
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        traced = experiments.evaluate(model)
+    finally:
+        undo()
+    assert traced == plain
+    assert tracer.stats["exact.green_splitting.calls"] == 1
+    # two panel counts at least in each of exact and localization
+    assert tracer.stats["localization.localization_function.calls"] >= 4
+    assert (experiments.evaluate,
+            localization.localization_function) == originals

@@ -256,6 +256,20 @@ class TestSweep:
         assert [r["failures"] for r in records] == [r["failures"] for r in rows]
         assert all(None not in r for r in records)
 
+    @pytest.mark.parametrize("argv, unread", [
+        (("--family", "simple-du", "--du", "2:3:2", "--dv", "30",
+          "--alpha", "1:2:3"), ("--alpha", "--dv")),
+        (("--family", "fixed-dv", "--dv", "30", "--alpha", "1:2:2",
+          "--du", "1:5:3"), ("--du",)),
+        (("--family", "quartic-du", "--du", "2:3:2",
+          "--allow-out-of-range"), ("--allow-out-of-range",)),
+    ], ids=["simple-du", "fixed-dv", "quartic-du"])
+    def test_rejects_flags_the_family_does_not_read(self, capsys, argv,
+                                                    unread):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 1 and out == ""
+        assert all(flag in err for flag in unread), err
+
     def test_lost_width_alone_keeps_exit_code_zero(self, capsys):
         sigma = models.sigma_for_delta_v(15.0, 30.0)
         code, out, _ = run(capsys, "split", "--sigma", repr(sigma),
@@ -334,6 +348,21 @@ class TestProfile:
                              "--du-list", "5", "--x0", "2", "--grid", "0:1:3")
         assert code == 1 and out == ""
         assert "--x0" in err
+
+    @pytest.mark.parametrize("argv, unread", [
+        (("--family", "quartic-family", "--du-list", "1,3", "--alpha", "3",
+          "--sigma", "0.2"), ("--alpha", "--sigma")),
+        (("--family", "fixed-dv", "--dv", "30", "--alpha-list", "1,2",
+          "--alpha", "3", "--sigma", "0.2", "--du", "4"),
+         ("--alpha", "--du", "--sigma")),
+        (("--family", "shape", "--sigma-list", "0.3", "--quartic"),
+         ("--quartic",)),
+        (("--sigma", "0.3", "--du-list", "1"), ("--du-list",)),
+    ], ids=["quartic-family", "fixed-dv", "shape", "two-gaussian"])
+    def test_rejects_flags_the_mode_does_not_read(self, capsys, argv, unread):
+        code, out, err = run(capsys, "profile", *argv, "--grid", "0:1:2")
+        assert code == 1 and out == ""
+        assert all(flag in err for flag in unread), err
 
     def test_family_flag_validation(self, capsys):
         code, _, err = run(capsys, "profile", "--family", "shape",

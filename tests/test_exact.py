@@ -219,6 +219,12 @@ class TestGreenSplitting:
             bound = localization.splitting_localization(view).splitting
             assert bound >= value * (1.0 - slack), du
 
+    @pytest.mark.parametrize("du", [30.0, 40.0])
+    def test_iterates_from_the_localization_function(self, du):
+        # at high barriers g is already the eigenfunction to ~1e-16, so one
+        # application of K closes the bracket
+        assert exact.green_splitting(self.view(du)).iterations == 1
+
     def test_quartic_against_grid_solver(self):
         model = models.QuarticMeanFieldModel(du=3.0)
         ref = fd_lowest(lambda x: models.quartic_quantum_potential(model, x))

@@ -61,30 +61,26 @@ class TestIngredients:
 
 
 class TestLocalizationFunction:
-    def test_odd_and_clipped(self):
-        view = reference_view()
-        xs = np.linspace(-2.5, 2.5, 41)
-        g = localization.localization_g(view, xs)
-        assert np.allclose(g, -g[::-1], atol=1e-12)
-        assert np.all(np.abs(g) <= 1.0)
-        assert g[0] == -1.0 and g[-1] == 1.0
+    """g on the nodes of the panels that localization and exact share."""
+
+    def node_values(self, panels=64):
+        half, _, inv = localization.panel_density(reference_view(), panels)
+        return localization.localization_function(half, inv)
+
+    def test_positive_and_clipped(self):
+        _, g = self.node_values()
+        assert g.shape == (64, 16)
+        assert np.all(g > 0.0) and np.all(g <= 1.0)
 
     def test_monotone_and_saturating(self):
-        view = reference_view()
-        xs = np.linspace(0.0, view.x_m, 30)
-        g = localization.localization_g(view, xs)
-        assert np.all(np.diff(g) >= 0.0)
-        assert g[0] == 0.0
-        assert g[-1] == pytest.approx(1.0, abs=1e-9)
-        assert localization.localization_g(view, view.x_m + 0.1) == 1.0
-
-    def test_scalar_matches_vector(self):
-        view = reference_view()
-        for xv in (-0.7, 0.0, 0.4, 1.3):
-            scalar = localization.localization_g(view, xv)
-            vector = localization.localization_g(view, np.array([xv]))
-            assert isinstance(scalar, float)
-            assert scalar == pytest.approx(float(vector[0]), rel=1e-12, abs=1e-15)
+        i_value, g = self.node_values()
+        # row by row, the nodes run from 0 out to domain_halfwidth
+        assert np.all(np.diff(g.ravel()) >= 0.0)
+        assert np.all(g[:32] < 1.0)
+        assert np.all(g[32:] == 1.0)   # every node of [x_m, L]
+        assert i_value == pytest.approx(
+            localization.splitting_localization(reference_view()).i_value,
+            rel=1e-12)
 
 
 class TestUnderflow:
@@ -95,7 +91,7 @@ class TestUnderflow:
     ], ids=["quartic-du800", "two_gaussian-sigma0.025"])
     def test_density_underflow_at_barrier_raises(self, model):
         view = models.meanfield_view(model)
-        with pytest.raises(numerics.NumericsError, match="integral I"):
+        with pytest.raises(numerics.NumericsError, match="rho_eq underflows"):
             localization.splitting_localization(view)
 
 

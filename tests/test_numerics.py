@@ -1,4 +1,4 @@
-"""Kernel-level checks: quadrature, root finding, eigensolver, stencils."""
+"""Kernel-level checks: quadrature, running integrals, root finding, eigensolver."""
 
 import math
 
@@ -47,6 +47,52 @@ class TestIntegrateAdaptive:
         with pytest.raises(numerics.NumericsError, match="not finite"):
             numerics.integrate_panels(lambda x: np.where(x > 0.5, np.inf, 1.0),
                                       0.0, 1.0)
+
+
+def panels(edges):
+    """Nodes (P, 16) and half-widths (P, 1) of the panels between edges."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + numerics.NODES), half
+
+
+class TestRunningIntegral:
+    """running_integral: the panel rule's cumulative form."""
+
+    def test_piecewise_polynomials_exact(self):
+        # a different degree-15 polynomial on each of three unequal panels
+        rng = np.random.default_rng(3)
+        edges = [-1.0, -0.2, 0.5, 1.3]
+        x, half = panels(edges)
+        pieces = [np.polynomial.Polynomial(rng.standard_normal(16))
+                  for _ in range(3)]
+        f = np.array([p(row) for p, row in zip(pieces, x)])
+        whole = [p.integ()(b) - p.integ()(a)
+                 for p, a, b in zip(pieces, edges[:-1], edges[1:])]
+        forward = np.array([sum(whole[:j]) + p.integ()(row) - p.integ()(a)
+                            for j, (p, row, a) in enumerate(
+                                zip(pieces, x, edges[:-1]))])
+        reverse = sum(whole) - forward
+        scale = np.abs(forward).max()
+        assert np.abs(numerics.running_integral(f, half)
+                      - forward).max() <= 1e-14 * scale
+        assert np.abs(numerics.running_integral(f, half, reverse=True)
+                      - reverse).max() <= 1e-14 * scale
+
+    def test_reverse_keeps_a_decaying_tail(self):
+        # integral_x^8 exp(-y^2) dy reaches ~2e-17 at x = 6, far below the
+        # rounding of the total, so only the sum from 8 inwards resolves it
+        x, half = panels(np.linspace(0.0, 8.0, 65))
+        f = np.exp(-x * x)
+        tail = x >= 6.0
+        exact = 0.5 * math.sqrt(math.pi) * np.array(
+            [math.erfc(t) - math.erfc(8.0) for t in x[tail]])
+        reverse = numerics.running_integral(f, half, reverse=True)[tail]
+        assert np.abs(reverse / exact - 1.0).max() <= 1e-12
+        total = numerics.running_integral(f, half)[-1, -1] + reverse[-1]
+        difference = total - numerics.running_integral(f, half)[tail]
+        # the total less the forward integral is 0 or a few ulps of 0.886
+        assert np.abs(difference / exact - 1.0).min() > 0.5
 
 
 class TestFindRootBracketed:
