@@ -23,8 +23,8 @@ not bound the error.  Kinetic matrix elements are analytic; potential matrix
 elements use Gauss-Hermite quadrature of order 2 n_basis + 32, comfortably
 beyond polynomial exactness for the basis products.  The basis length
 scale follows the well curvature, l = deltaV''(x_min)^(-1/4) in reduced
-units, and the basis size is doubled until the splitting e1 - e0 is stable
-to a relative tolerance.
+units, and the basis size is doubled from 64 to 1024 until the splitting
+e1 - e0 is stable to 1e-8 relative.
 
 deltaV is even and psi_k(-xi) = (-1)^k psi_k(xi), so the matrix splits
 into an even block (psi_0, psi_2, ...) and an odd block (psi_1, psi_3, ...)
@@ -35,13 +35,16 @@ parity, plus the kinetic part, which is tridiagonal within a parity.  The
 folded tables do not depend on the model and are cached per basis size.
 In one dimension the ground state is nodeless, hence even, and the first
 excited state is odd, so the splitting is the lowest eigenvalue of the odd
-block minus the lowest of the even block (subset LAPACK eigensolver).
+block minus the lowest of the even block.
 
-Total quadrature weights w_i * exp(xi_i^2) are produced directly from the
-inverse Christoffel sum 1 / sum_k psi_k(xi_i)^2 over the orthonormal
-Hermite functions, which stays finite where the raw weights underflow.
-Nodes in the extreme tail where even that sum underflows get weight zero;
-every basis function is zero there to machine precision.
+The Gauss-Hermite nodes are the eigenvalues of the symmetric tridiagonal
+Jacobi matrix of the Hermite recurrence, off-diagonal sqrt(k/2) (Golub &
+Welsch, Math. Comp. 23, 221, 1969), each polished by one Newton step on
+the orthonormal Hermite function psi_order.  The total weights
+w_i * exp(xi_i^2) are the inverse Christoffel sums 1 / sum_k psi_k(xi_i)^2,
+which stay finite where the raw weights underflow.  Nodes in the extreme
+tail where even that sum underflows get weight zero; every basis function
+is zero there to machine precision.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import blas
-from scipy.special import roots_hermite
 
 from . import localization, numerics
 from .models import MeanFieldView
@@ -119,7 +120,15 @@ def hermite_function_table(n: int, xi: np.ndarray) -> np.ndarray:
 
 def _hermite_rule(order: int):
     """Gauss-Hermite nodes and underflow-safe total weights w * exp(xi^2)."""
-    xi, _ = roots_hermite(order)
+    xi = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, order)), -1))
+    # Newton on psi_order through the ratio r = psi_k / psi_(k-1), which
+    # stays finite where the functions themselves underflow; the eigenvalues
+    # alone are off by up to ~1e-12 at the extreme nodes of order 2080
+    ratio = math.sqrt(2.0) * xi
+    for k in range(1, order):
+        ratio = (math.sqrt(2.0 / (k + 1)) * xi
+                 - math.sqrt(k / (k + 1.0)) / ratio)
+    xi = xi - ratio / (math.sqrt(2.0 * order) - xi * ratio)
     psi_prev = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     acc = psi_prev * psi_prev
     psi_cur = math.sqrt(2.0) * xi * psi_prev
@@ -197,9 +206,7 @@ def build_hamiltonian(delta_v: Callable, basis: HermiteBasis) -> ParityHamiltoni
 def _parity_block(table: np.ndarray, folded: np.ndarray, parity: int,
                   ell: float) -> np.ndarray:
     """Block of basis indices k = parity, parity + 2, ...; symmetrized."""
-    # scipy's BLAS, not numpy's @: numpy and scipy each load an OpenBLAS, and
-    # alternating the two thread pools halved sweep throughput on 2 cores.
-    h = blas.dgemm(1.0, (table * folded).T, table.T, trans_a=True)
+    h = (table * folded) @ table.T
 
     # kinetic: <j|-d2/dx2|k> = [ (k + 1/2) d_{jk}
     #   - sqrt((k+1)(k+2))/2 d_{j,k+2} - sqrt(k(k-1))/2 d_{j,k-2} ] / l^2
@@ -222,58 +229,39 @@ def _parity_block(table: np.ndarray, folded: np.ndarray, parity: int,
     return h
 
 
+_BASIS_SIZES = [64 << k for k in range(5)]  # 64, 128, ..., 1024
+_BASIS_TOL = 1e-8
+
+
 def exact_splitting(
     delta_v: Callable,
     well_location: float,
     well_curvature: float,
-    *,
-    tol_rel: float = 1e-8,
-    n_start: int = 64,
-    n_max: int = 1024,
 ) -> ExactSpectrumResult:
     """Tunneling splitting of -d2/dx2 + deltaV, converged in the basis size.
 
-    Parameters
-    ----------
-    delta_v : callable
-        Shifted potential in E_u units, vectorized over positions.
-    well_location : float
-        Position of one potential minimum.  The basis is centered on the
-        barrier and scaled by well_curvature, so the solver does not use it.
-    well_curvature : float
-        deltaV'' at the minimum, positive; sets the basis length scale
-        l = well_curvature^(-1/4).
-    tol_rel : float
-        Relative stability of the splitting between successive basis
-        doublings required to declare convergence.  Differences below
-        the eigensolver noise floor (machine epsilon times a norm bound
-        of the Hamiltonian) also count as converged, since no basis can
-        resolve the splitting beyond that.
-    n_start, n_max : int
-        First and largest basis sizes tried (doubling in between).
-
-    The result carries converged=False instead of raising when n_max is
-    reached without stabilizing; a splitting that is not positive never
-    counts as converged.
+    delta_v is the shifted potential in E_u units, vectorized over
+    positions.  well_curvature, deltaV'' at a minimum, sets the basis
+    length scale l = well_curvature^(-1/4); well_location is not used.
+    The basis runs through _BASIS_SIZES until two successive splittings
+    agree to _BASIS_TOL relative or to the eigensolver noise floor.
+    Otherwise the result carries converged=False; a splitting that is not
+    positive never counts as converged.
     """
     if well_curvature <= 0:
         raise ValueError(
             f"well curvature must be positive, got {well_curvature:.6g}"
         )
-    if n_start < 3 or n_max < n_start:
-        raise ValueError("need 3 <= n_start <= n_max")
 
     ell = float(well_curvature) ** -0.25
     history = []
     prev_split = None
     converged = False
 
-    n = n_start
-    while n <= n_max:
+    for n in _BASIS_SIZES:
         basis = HermiteBasis(n_basis=n, length_scale=ell)
         matrix = build_hamiltonian(delta_v, basis)
-        # ask for two: with k = 1 LAPACK moves the splittings ~1e-8 relative
-        e0, e1 = (numerics.eig_symmetric_lowest(b, min(2, b.shape[0]))[0][0]
+        e0, e1 = (numerics.eig_symmetric_lowest(b, 1)[0][0]
                   for b in (matrix.even, matrix.odd))
         split = float(e1 - e0)
         history.append((n, split))
@@ -285,11 +273,10 @@ def exact_splitting(
         # odd lies above even, so a splitting <= 0 is never resolved
         if split > 0.0 and prev_split is not None and (
                 abs(split - prev_split)
-                <= max(tol_rel * abs(split), noise_floor)):
+                <= max(_BASIS_TOL * abs(split), noise_floor)):
             converged = True
             break
         prev_split = split
-        n *= 2
 
     return ExactSpectrumResult(
         e0=float(e0), e1=float(e1), n_basis_used=basis.n_basis,

@@ -93,12 +93,12 @@ class TwoGaussianModel:
     validity_warnings: tuple = field(default=(), init=False, compare=False)
 
     def __post_init__(self):
-        if self.x0 <= 0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if not 0 < self.x0 < math.inf:
+            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 1 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
         notes = []
         ratio = self.sigma / self.x0
         if ratio > SIGMA_RATIO_MAX:
@@ -145,10 +145,10 @@ class QuarticMeanFieldModel:
     x0: float = 1.0
 
     def __post_init__(self):
-        if self.du <= 0:
-            raise ValueError(f"du must be positive, got {self.du}")
-        if self.x0 <= 0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
+        if not 0 < self.du < math.inf:
+            raise ValueError(f"du must be positive and finite, got {self.du}")
+        if not 0 < self.x0 < math.inf:
+            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
 
 
 ModelLike = Union[TwoGaussianModel, QuarticMeanFieldModel]

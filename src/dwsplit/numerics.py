@@ -9,7 +9,7 @@ discretization that `localization` and `exact` share: the integral up to
 or beyond each node, from the degree-15 interpolant within a panel
 (Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels.
 Besides the rule there are a bracketed root finder (Illinois false
-position) and the LAPACK symmetric eigensolver.  The Gauss-Hermite rule
+position) and a dense symmetric eigensolver.  The Gauss-Hermite rule
 stays in `exact`, where it is used.
 """
 
@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy import linalg
-from scipy.linalg import blas
 
 NODES, WEIGHTS = legendre.leggauss(16)
 PANELS = [8 << k for k in range(10)]  # 8, 16, ..., 4096
@@ -114,6 +112,8 @@ def find_root_bracketed(
     ------
     RootBracketError
         If the bracket does not change sign.
+    NumericsError
+        If f is not finite at an end of the bracket or at a step.
     """
     if not (lo < hi):
         raise ValueError(f"invalid bracket: need lo < hi, got lo={lo}, hi={hi}")
@@ -131,6 +131,11 @@ def find_root_bracketed(
         )
     x, kept, widths = lo, 0, (np.inf, np.inf)
     while True:
+        # each new value becomes f_lo or f_hi; a NaN would never narrow
+        # the bracket
+        if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
+            raise NumericsError(f"f is not finite on the bracket [{lo}, {hi}]: "
+                                f"f(lo)={f_lo}, f(hi)={f_hi}")
         step = 0.5 * tol + 2.0 * np.finfo(float).eps * abs(x)
         if hi - lo <= 2.0 * step:
             return float(x)
@@ -158,8 +163,7 @@ def find_root_bracketed(
 def eig_symmetric_lowest(a: np.ndarray, k: int):
     """Lowest k eigenpairs of a dense real symmetric matrix.
 
-    Only the k wanted pairs are computed (LAPACK subset eigensolver, chosen
-    by index).  Symmetry is the caller's invariant: the solver reads one
+    Symmetry is the caller's invariant: the solver reads the lower
     triangle of ``a``.
 
     Returns
@@ -171,8 +175,9 @@ def eig_symmetric_lowest(a: np.ndarray, k: int):
     Raises
     ------
     EigenSolverError
-        If LAPACK fails to converge or the residuals ||A v - lambda v|| exceed
-        1e-10 times the largest row 2-norm of A, a lower bound of ||A||_2.
+        If the solver fails to converge or the residuals ||A v - lambda v||
+        exceed 1e-10 times the largest row 2-norm of A, a lower bound of
+        ||A||_2.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -181,16 +186,14 @@ def eig_symmetric_lowest(a: np.ndarray, k: int):
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
     try:
-        values, vectors = linalg.eigh(a, subset_by_index=(0, k - 1),
-                                      check_finite=False)
-    except linalg.LinAlgError as exc:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"symmetric eigensolver failed: {exc}") from exc
+    values, vectors = values[:k], vectors[:, :k]
     norm = float(np.sqrt(np.max(np.sum(a * a, axis=1)))) or 1.0
-    residual = float(np.max(np.abs(blas.dgemm(1.0, a, vectors)
-                                   - vectors * values)))
+    residual = float(np.max(np.abs(a @ vectors - vectors * values)))
     if not residual <= 1e-10 * norm:
         raise EigenSolverError(
             f"eigenpair residual {residual:.3e} exceeds 1e-10 * ||A|| = {1e-10 * norm:.3e}"
         )
     return values, vectors
-

@@ -19,6 +19,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(source):
+    """Run source in a fresh interpreter that imports this checkout."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", source],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestTopLevel:
     def test_unit_doc(self, capsys):
         code, out, _ = run(capsys, "--unit-doc")
@@ -41,14 +49,43 @@ class TestTopLevel:
         for name in ("split", "sweep", "table1", "profile"):
             assert name in out
 
-    def test_import_skips_scipy_integrate_and_optimize(self):
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        probe = ("import dwsplit.cli, sys; print(sorted(m for m in sys.modules "
-                 "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "[]"
+    def test_split_loads_no_scipy(self):
+        probe = ("import sys; from dwsplit import cli; "
+                 "code = cli.main(['split', '--alpha', '1', '--sigma', '0.3593']); "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+                 "sys.exit(code)")
+        done = run_python(probe)
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_non_finite_parameters_exit_1(self):
+        # in a subprocess with a timeout: a NaN once sent the root finder
+        # into an endless loop
+        cases = [
+            ["split", "--sigma", "nan"],
+            ["split", "--sigma", "0.3", "--alpha", "nan"],
+            ["split", "--sigma", "0.3", "--x0", "inf"],
+            ["split", "--dv", "nan", "--width", "1"],
+            ["sweep", "--family", "fixed-dv", "--dv", "nan", "--alpha", "1:2:2"],
+            ["sweep", "--family", "quartic-du", "--du", "1:2:2", "--x0", "nan"],
+            ["table1", "--dv", "nan"],
+            ["profile", "--quartic", "--du", "nan", "--grid", "0:1:3"],
+        ]
+        probe = ("import contextlib, io, json\n"
+                 "from dwsplit import cli\n"
+                 "rows = []\n"
+                 f"for argv in {cases!r}:\n"
+                 "    out, err = io.StringIO(), io.StringIO()\n"
+                 "    with contextlib.redirect_stdout(out), "
+                 "contextlib.redirect_stderr(err):\n"
+                 "        code = cli.main(argv)\n"
+                 "    rows.append([code, out.getvalue(), err.getvalue()])\n"
+                 "print(json.dumps(rows))")
+        rows = json.loads(run_python(probe).stdout)
+        assert len(rows) == len(cases)
+        for argv, (code, out, err) in zip(cases, rows):
+            assert (code, out) == (1, ""), argv
+            assert "finite" in err, argv
 
 
 class TestSplit:

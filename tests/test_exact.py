@@ -38,6 +38,14 @@ class TestHermiteFunctions:
         assert np.all(table == 0.0)
 
 
+class TestHermiteRule:
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_nodes_match_scipy(self, n):
+        xi, _ = exact._hermite_rule(2 * n + 32)
+        ref, _ = roots_hermite(2 * n + 32)
+        assert np.max(np.abs(xi - ref)) <= 1e-12
+
+
 class TestHamiltonian:
     def test_matched_harmonic_is_diagonal(self):
         # -d2/dx2 + x^2/4 with length scale 2^(1/2): spectrum k + 1/2,
@@ -100,12 +108,13 @@ class TestKnownSpectra:
         assert res.converged
 
     @pytest.mark.parametrize("n_start, n_max", [(3, 1024), (4, 8)])
-    def test_odd_and_tiny_bases(self, n_start, n_max):
+    def test_odd_and_tiny_bases(self, n_start, n_max, monkeypatch):
         # well_curvature 1/4 matches the basis to the oscillator, so every
         # basis of 3 or more functions holds the levels 0 and 1 exactly
+        sizes = [n_start << k for k in range(10) if n_start << k <= n_max]
+        monkeypatch.setattr(exact, "_BASIS_SIZES", sizes)
         res = exact.exact_splitting(lambda x: 0.25 * x * x - 0.5,
-                                    well_location=0.0, well_curvature=0.25,
-                                    n_start=n_start, n_max=n_max)
+                                    well_location=0.0, well_curvature=0.25)
         assert [res.e0, res.e1] == pytest.approx([0.0, 1.0], abs=1e-12)
         assert res.n_basis_used == 2 * n_start
         assert res.converged
@@ -116,6 +125,12 @@ class TestKnownSpectra:
                                     models.curvature_at_minima(model))
         ref = fd_lowest(dv)
         assert res.splitting == pytest.approx(ref[1] - ref[0], rel=1e-6)
+
+    def test_cli_split_model_value_is_pinned(self):
+        model, dv = closed_delta_v(0.3593)
+        res = exact.exact_splitting(dv, model.x0,
+                                    models.curvature_at_minima(model))
+        assert res.splitting == pytest.approx(0.1899376322540646, rel=1e-10)
 
     def test_ground_level_is_zero_for_density_potentials(self):
         # deltaV built from a normalized density annihilates rho^(1/2)
@@ -147,34 +162,29 @@ class TestConvergenceBookkeeping:
         assert res.n_basis_used == sizes[-1]
         assert res.converged
 
-    def test_unconverged_flag_instead_of_raise(self):
+    def test_unconverged_flag_instead_of_raise(self, monkeypatch):
+        monkeypatch.setattr(exact, "_BASIS_SIZES", [4, 8])
+        monkeypatch.setattr(exact, "_BASIS_TOL", 1e-15)
         model, dv = closed_delta_v(0.3593)
         res = exact.exact_splitting(dv, model.x0,
-                                    models.curvature_at_minima(model),
-                                    tol_rel=1e-15, n_start=4, n_max=8)
+                                    models.curvature_at_minima(model))
         assert not res.converged
         assert res.n_basis_used == 8
 
-    def test_negative_splitting_is_not_converged(self):
-        # at dU = 100 the 512-function basis puts the odd level below the
-        # even one, within the noise floor of the 256-function result
-        model = models.TwoGaussianModel(sigma=models.sigma_for_du(100.0))
+    def test_negative_splitting_is_not_converged(self, monkeypatch):
+        # at dU = 60 the bases from 128 functions up put the odd level
+        # below the even one, within the noise floor of each other
+        monkeypatch.setattr(exact, "_BASIS_SIZES", [64, 128, 256, 512])
+        model = models.TwoGaussianModel(sigma=models.sigma_for_du(60.0))
         dv = lambda x: models.quantum_potential_closed(model, x)
         res = exact.exact_splitting(dv, model.x0,
-                                    models.curvature_at_minima(model),
-                                    n_max=512)
+                                    models.curvature_at_minima(model))
         assert res.splitting < 0.0
         assert not res.converged
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="curvature"):
             exact.exact_splitting(lambda x: -x * x, 0.0, -2.0)
-        with pytest.raises(ValueError, match="n_start"):
-            exact.exact_splitting(lambda x: x * x, 0.0, 2.0,
-                                  n_start=1)
-        with pytest.raises(ValueError, match="n_start"):
-            exact.exact_splitting(lambda x: x * x, 0.0, 2.0,
-                                  n_start=64, n_max=32)
 
 
 class TestGreenSplitting:

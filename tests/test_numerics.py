@@ -107,6 +107,17 @@ class TestFindRootBracketed:
         with pytest.raises(numerics.RootBracketError):
             numerics.find_root_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)
 
+    @pytest.mark.parametrize("f", [
+        lambda x: math.nan,
+        lambda x: x - 0.5 if x < 1.0 else math.inf,
+        lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+    ], ids=["nan-everywhere", "inf-at-an-end", "nan-at-a-step"])
+    def test_non_finite_values_raise(self, f):
+        # a NaN never narrows the bracket, so without the check the search
+        # would not end
+        with pytest.raises(numerics.NumericsError, match="not finite"):
+            numerics.find_root_bracketed(f, 0.0, 1.0)
+
 
 class TestEigSymmetricLowest:
     def test_known_spectrum(self):
