@@ -68,13 +68,14 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the contract wants 1.
 
     Also widens the negative-number heuristic so range values with a
-    leading minus (``--grid -1.5:1.5:601``) parse as arguments.
+    leading minus (``--grid -1.5:1.5:601``) and ``-inf``/``-nan`` parse
+    as arguments.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-\d+$|^-\d*\.\d+$|^-\d*\.?\d+:")
+            r"^-(\d*\.?\d+|inf|infinity|nan)(:|$)", re.I)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -85,9 +85,10 @@ class SweepSpec:
                 f"unknown family {self.family!r}, expected one of {SWEEP_FAMILIES}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        if not self.start < self.stop:
-            raise ValueError(
-                f"need start < stop, got [{self.start}, {self.stop}]")
+        swept = "alpha" if self.family == "extended_fixed_dV" else "du"
+        if not -math.inf < self.start < self.stop < math.inf:
+            raise ValueError(f"need finite {swept} start < stop, "
+                             f"got [{self.start}, {self.stop}]")
         object.__setattr__(self, "methods", canonical_methods(self.methods))
         object.__setattr__(self, "fixed", dict(self.fixed))
         if self.family == "extended_fixed_dV" and "delta_v" not in self.fixed:

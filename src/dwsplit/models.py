@@ -297,15 +297,17 @@ def barrier_width(model: TwoGaussianModel) -> float:
 
 def sigma_for_du(du: float, x0: float = 1.0) -> float:
     """sigma reproducing mean-field barrier dU in the alpha = 1 model."""
-    if du <= -math.log(2.0):
-        raise ValueError(f"dU must exceed -ln 2, got {du}")
+    if not -math.log(2.0) < du < math.inf:
+        raise ValueError(f"du must be finite and exceed -ln 2, got {du}")
     return x0 * math.sqrt(0.5 / (du + math.log(2.0)))
 
 
 def sigma_for_delta_v(delta_v: float, alpha: float, x0: float = 1.0) -> float:
     """sigma holding the quantum barrier at dV for the given alpha."""
-    if delta_v <= 0:
-        raise ValueError(f"dV must be positive, got {delta_v}")
+    if not 0 < delta_v < math.inf:
+        raise ValueError(f"delta_v must be positive and finite, got {delta_v}")
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     return x0 * (1.0 / (2.0 * alpha * delta_v)) ** 0.25
 
 
@@ -319,8 +321,8 @@ def two_minimum_alpha_limit(delta_v: float) -> float:
     b > 1; otherwise only the root with b < 1 exists.  Raises ValueError
     when the limit is not above alpha = 1.
     """
-    if delta_v <= 0:
-        raise ValueError("delta_v must be positive")
+    if not 0 < delta_v < math.inf:
+        raise ValueError(f"delta_v must be positive and finite, got {delta_v}")
     c = math.sqrt(2.0 * delta_v)
     q = 8.0 * math.sqrt(delta_v)
     if delta_v > 16.0:
@@ -346,8 +348,9 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
     Raises ValueError when the requested width falls outside the attainable
     band, quoting the band in the message.
     """
-    if delta_v <= 0 or width <= 0:
-        raise ValueError("delta_v and width must be positive")
+    for name, value in (("delta_v", delta_v), ("width", width)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def model_at(alpha: float) -> TwoGaussianModel:
         return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),

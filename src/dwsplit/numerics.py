@@ -9,8 +9,7 @@ discretization that `localization` and `exact` share: the integral up to
 or beyond each node, from the degree-15 interpolant within a panel
 (Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels.
 Besides the rule there are a bracketed root finder (Illinois false
-position) and a dense symmetric eigensolver.  The Gauss-Hermite rule
-stays in `exact`, where it is used.
+position) and a dense symmetric eigensolver.
 """
 
 from __future__ import annotations

@@ -186,7 +186,7 @@ def test_independent_eigensolver_agreement():
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6
     assert verdict(ok, "independent eigensolver agreement",
-                   f"5 parameter sets, basis and Green's-operator solvers, "
+                   f"5 parameter sets, sinc-grid and Green's-operator solvers, "
                    f"worst rel {worst:.2e} (<= 1e-6), {elapsed:.1f} s")
 
 

@@ -44,7 +44,7 @@ def test_seed_zero_pass_matches_golden(workload):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_evaluate_exact_matches_library_split(seed):
     # cli_split checks the CLI, whose exact comes from evaluate's
-    # Green's-operator solver, against library_split's basis solver
+    # Green's-operator solver, against library_split's sinc-grid solver
     alpha, sigma = workloads.cli_model(seed)
     row = experiments.evaluate(models.TwoGaussianModel(sigma=sigma,
                                                        alpha=alpha))

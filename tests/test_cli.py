@@ -61,16 +61,26 @@ class TestTopLevel:
     def test_non_finite_parameters_exit_1(self):
         # in a subprocess with a timeout: a NaN once sent the root finder
         # into an endless loop
-        cases = [
-            ["split", "--sigma", "nan"],
-            ["split", "--sigma", "0.3", "--alpha", "nan"],
-            ["split", "--sigma", "0.3", "--x0", "inf"],
-            ["split", "--dv", "nan", "--width", "1"],
-            ["sweep", "--family", "fixed-dv", "--dv", "nan", "--alpha", "1:2:2"],
-            ["sweep", "--family", "quartic-du", "--du", "1:2:2", "--x0", "nan"],
-            ["table1", "--dv", "nan"],
-            ["profile", "--quartic", "--du", "nan", "--grid", "0:1:3"],
+        # each error names the parameter the user gave, not a derived one
+        named = [
+            (["split", "--sigma", "nan"], "sigma"),
+            (["split", "--sigma", "0.3", "--alpha", "nan"], "alpha"),
+            (["split", "--sigma", "0.3", "--x0", "inf"], "x0"),
+            (["split", "--dv", "nan", "--width", "1"], "delta_v"),
+            (["split", "--dv", "inf", "--width", "1"], "delta_v"),
+            (["split", "--dv", "-inf", "--width", "1"], "delta_v"),
+            (["split", "--dv", "30", "--width", "nan"], "width"),
+            (["sweep", "--family", "fixed-dv", "--dv", "nan", "--alpha",
+              "1:2:2"], "delta_v"),
+            (["sweep", "--family", "fixed-dv", "--dv", "30", "--alpha",
+              "1:inf:2"], "alpha"),
+            (["sweep", "--family", "simple-du", "--du", "-inf:2:2"], "du"),
+            (["sweep", "--family", "quartic-du", "--du", "1:2:2", "--x0",
+              "nan"], "x0"),
+            (["table1", "--dv", "nan"], "delta_v"),
+            (["profile", "--quartic", "--du", "nan", "--grid", "0:1:3"], "du"),
         ]
+        cases = [argv for argv, _ in named]
         probe = ("import contextlib, io, json\n"
                  "from dwsplit import cli\n"
                  "rows = []\n"
@@ -83,9 +93,10 @@ class TestTopLevel:
                  "print(json.dumps(rows))")
         rows = json.loads(run_python(probe).stdout)
         assert len(rows) == len(cases)
-        for argv, (code, out, err) in zip(cases, rows):
+        for (argv, name), (code, out, err) in zip(named, rows):
             assert (code, out) == (1, ""), argv
             assert "finite" in err, argv
+            assert f"{name} must" in err or f"finite {name} " in err, argv
 
 
 class TestSplit:

@@ -1,10 +1,7 @@
-"""Tests for the oscillator-basis solver and the Green's-operator solver."""
-
-import math
+"""Tests for the sinc-grid solver and the Green's-operator solver."""
 
 import numpy as np
 import pytest
-from scipy.special import roots_hermite
 
 from dwsplit import exact, localization, models, numerics
 
@@ -17,85 +14,18 @@ def closed_delta_v(sigma, alpha=1.0):
     return model, dv
 
 
-class TestHermiteFunctions:
-    def test_low_orders_match_explicit_formulas(self):
-        xi = np.linspace(-3.0, 3.0, 11)
-        table = exact.hermite_function_table(3, xi)
-        psi0 = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-        assert np.allclose(table[0], psi0, rtol=1e-13)
-        assert np.allclose(table[1], math.sqrt(2.0) * xi * psi0, rtol=1e-13)
-        assert np.allclose(table[2], (2.0 * xi * xi - 1.0) / math.sqrt(2.0) * psi0,
-                           rtol=1e-12, atol=1e-15)
-
-    def test_orthonormal_on_dense_grid(self):
-        xi = np.linspace(-12.0, 12.0, 24_001)
-        table = exact.hermite_function_table(8, xi)
-        gram = np.trapezoid(table[:, None, :] * table[None, :, :], xi, axis=2)
-        assert np.allclose(gram, np.eye(8), atol=1e-10)
-
-    def test_tail_underflows_to_zero(self):
-        table = exact.hermite_function_table(4, np.array([40.0]))
-        assert np.all(table == 0.0)
-
-
-class TestHermiteRule:
-    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
-    def test_nodes_match_scipy(self, n):
-        xi, _ = exact._hermite_rule(2 * n + 32)
-        ref, _ = roots_hermite(2 * n + 32)
-        assert np.max(np.abs(xi - ref)) <= 1e-12
-
-
 class TestHamiltonian:
-    def test_matched_harmonic_is_diagonal(self):
-        # -d2/dx2 + x^2/4 with length scale 2^(1/2): spectrum k + 1/2,
-        # even k in one block and odd k in the other
-        basis = exact.HermiteBasis(n_basis=16, length_scale=math.sqrt(2.0))
-        h = exact.build_hamiltonian(lambda x: 0.25 * x * x, basis)
-        assert h.n == 16
-        assert np.allclose(h.even, np.diag(np.arange(0, 16, 2) + 0.5),
-                           atol=1e-12)
-        assert np.allclose(h.odd, np.diag(np.arange(1, 16, 2) + 0.5),
-                           atol=1e-12)
-
-    def test_blocks_match_full_quadrature(self):
-        # reference: the unfolded matrix over all 2n+32 Gauss-Hermite nodes
-        _, dv = closed_delta_v(0.3593)
-        basis = exact.HermiteBasis(n_basis=21, length_scale=0.8)
-        xi, w = roots_hermite(2 * 21 + 32)
-        table = exact.hermite_function_table(21, xi)
-        full = (table * (w * np.exp(xi * xi) * dv(0.8 * xi))) @ table.T
-        k = np.arange(21)
-        full[k, k] += (k + 0.5) / 0.64
-        off = -0.5 * np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0)) / 0.64
-        full[k[:-2], k[2:]] += off
-        full[k[2:], k[:-2]] += off
-        h = exact.build_hamiltonian(dv, basis)
-        scale = np.max(np.abs(full))
-        assert np.max(np.abs(full[0::2, 1::2])) < 1e-12 * scale
-        assert np.allclose(h.even, full[0::2, 0::2], rtol=0, atol=1e-12 * scale)
-        assert np.allclose(h.odd, full[1::2, 1::2], rtol=0, atol=1e-12 * scale)
-
     def test_rejects_non_even_potential(self):
-        basis = exact.HermiteBasis(n_basis=8, length_scale=1.0)
         with pytest.raises(ValueError, match="even"):
-            exact.build_hamiltonian(lambda x: 0.25 * x * x + 0.1 * x, basis)
+            exact.exact_splitting(lambda x: 0.25 * x * x + 0.1 * x, 0.0, 0.5)
 
     def test_rejects_scalar_only_potential(self):
-        basis = exact.HermiteBasis(n_basis=4, length_scale=1.0)
         with pytest.raises(ValueError, match="same shape"):
-            exact.build_hamiltonian(lambda x: 1.0, basis)
+            exact.exact_splitting(lambda x: 1.0, 0.0, 0.5)
 
     def test_rejects_non_finite_potential(self):
-        basis = exact.HermiteBasis(n_basis=4, length_scale=1.0)
         with pytest.raises(ValueError, match="finite"):
-            exact.build_hamiltonian(lambda x: np.full_like(x, np.nan), basis)
-
-    def test_basis_validation(self):
-        with pytest.raises(ValueError, match="n_basis"):
-            exact.HermiteBasis(n_basis=1, length_scale=1.0)
-        with pytest.raises(ValueError, match="length_scale"):
-            exact.HermiteBasis(n_basis=8, length_scale=0.0)
+            exact.exact_splitting(lambda x: np.full_like(x, np.nan), 0.0, 0.5)
 
 
 class TestKnownSpectra:
@@ -105,18 +35,6 @@ class TestKnownSpectra:
                                     well_location=0.0, well_curvature=0.5)
         assert res.e0 == pytest.approx(0.0, abs=1e-10)
         assert res.e1 == pytest.approx(1.0, rel=1e-10)
-        assert res.converged
-
-    @pytest.mark.parametrize("n_start, n_max", [(3, 1024), (4, 8)])
-    def test_odd_and_tiny_bases(self, n_start, n_max, monkeypatch):
-        # well_curvature 1/4 matches the basis to the oscillator, so every
-        # basis of 3 or more functions holds the levels 0 and 1 exactly
-        sizes = [n_start << k for k in range(10) if n_start << k <= n_max]
-        monkeypatch.setattr(exact, "_BASIS_SIZES", sizes)
-        res = exact.exact_splitting(lambda x: 0.25 * x * x - 0.5,
-                                    well_location=0.0, well_curvature=0.25)
-        assert [res.e0, res.e1] == pytest.approx([0.0, 1.0], abs=1e-12)
-        assert res.n_basis_used == 2 * n_start
         assert res.converged
 
     def test_double_well_against_grid_solver(self):
@@ -171,20 +89,33 @@ class TestConvergenceBookkeeping:
         assert not res.converged
         assert res.n_basis_used == 8
 
-    def test_negative_splitting_is_not_converged(self, monkeypatch):
-        # at dU = 60 the bases from 128 functions up put the odd level
-        # below the even one, within the noise floor of each other
-        monkeypatch.setattr(exact, "_BASIS_SIZES", [64, 128, 256, 512])
+    def test_unresolved_splitting_is_not_converged(self):
+        # at dU = 60 the splitting, ~1e-23, is far below the eigensolver noise
         model = models.TwoGaussianModel(sigma=models.sigma_for_du(60.0))
         dv = lambda x: models.quantum_potential_closed(model, x)
         res = exact.exact_splitting(dv, model.x0,
                                     models.curvature_at_minima(model))
-        assert res.splitting < 0.0
         assert not res.converged
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="curvature"):
             exact.exact_splitting(lambda x: -x * x, 0.0, -2.0)
+
+    @pytest.mark.parametrize("du, converged", [(1.0, True), (4.0, True),
+                                               (8.0, True), (12.0, False),
+                                               (20.0, False), (30.0, False)])
+    def test_converged_means_resolved(self, du, converged):
+        # the flag is set only where the value agrees with the
+        # Green's-operator solver, which resolves every dU here
+        model = models.TwoGaussianModel(sigma=models.sigma_for_du(du),
+                                        allow_out_of_range=du < 1.31)
+        dv = lambda x: models.quantum_potential_closed(model, x)
+        res = exact.exact_splitting(dv, model.x0,
+                                    models.curvature_at_minima(model))
+        assert res.converged is converged
+        if converged:
+            truth = exact.green_splitting(models.meanfield_view(model))
+            assert res.splitting == pytest.approx(truth.splitting, rel=1e-8)
 
 
 class TestGreenSplitting:

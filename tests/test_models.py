@@ -167,6 +167,19 @@ class TestSolveParameters:
         with pytest.raises(ValueError, match="attainable"):
             models.solve_parameters(30.0, 1.5)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: models.sigma_for_du(v), "du"),
+        (lambda v: models.sigma_for_delta_v(v, 1.0), "delta_v"),
+        (lambda v: models.sigma_for_delta_v(30.0, v), "alpha"),
+        (lambda v: models.two_minimum_alpha_limit(v), "delta_v"),
+        (lambda v: models.solve_parameters(v, 0.64), "delta_v"),
+        (lambda v: models.solve_parameters(30.0, v), "width"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_is_named(self, call, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must .*finite"):
+            call(value)
+
 
 class TestQuartic:
     def test_curvature_closed_form(self):
