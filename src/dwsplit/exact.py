@@ -76,16 +76,16 @@ def exact_splitting(
     well_curvature is deltaV'' at a minimum.  The kinetic matrix is
     pi^2/(3 h^2) on the diagonal and 2 (-1)^(i-j) / (h^2 (i-j)^2) off it.
     n runs through _BASIS_SIZES until two successive splittings agree to
-    _BASIS_TOL relative and the splitting is positive.  Otherwise the
-    result carries converged=False.  That is the outcome once the
-    splitting is too small to be resolved to _BASIS_TOL above the
-    eigensolver noise, which grows with the largest entry pi^2/(3 h^2)
-    (dU of about 11 and above in the two-Gaussian model).
+    _BASIS_TOL relative and the splitting is positive; otherwise the
+    result carries converged=False, as it does once the splitting is too
+    small to resolve above the eigensolver noise, which grows with
+    pi^2/(3 h^2) (dU of about 11 and above in the two-Gaussian model).
+    NumericsError is raised if eigh fails or an eigenpair residual
+    exceeds 1e-10 times the largest row 2-norm, a lower bound of ||A||_2.
     """
-    if well_curvature <= 0:
+    if not well_curvature > 0:
         raise ValueError(
-            f"well curvature must be positive, got {well_curvature:.6g}"
-        )
+            f"well curvature must be positive, got {well_curvature:.6g}")
 
     half_width = abs(well_location) + 10.0 * well_curvature ** -0.25
     history = []
@@ -105,12 +105,21 @@ def exact_splitting(
         if asymmetry > 1e-9 * float(np.max(np.abs(v))):
             raise ValueError(
                 f"delta_v must be even about the origin: "
-                f"|deltaV(x) - deltaV(-x)| reaches {asymmetry:.3e}"
-            )
+                f"|deltaV(x) - deltaV(-x)| reaches {asymmetry:.3e}")
         kinetic = 2.0 * (-1.0) ** k / (h * np.maximum(k, 1)) ** 2
         kinetic[0] = math.pi ** 2 / (3.0 * h * h)
         matrix = kinetic[np.abs(k[:, None] - k)] + np.diag(v)
-        (e0, e1), _ = numerics.eig_symmetric_lowest(matrix, 2)
+        try:
+            values, vectors = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise numerics.NumericsError(f"eigensolver failed: {exc}") from exc
+        (e0, e1), vectors = values[:2], vectors[:, :2]
+        norm = float(np.sqrt(np.max(np.sum(matrix * matrix, axis=1))))
+        residual = float(np.max(np.abs(matrix @ vectors - vectors * values[:2])))
+        if not residual <= 1e-10 * norm:
+            raise numerics.NumericsError(
+                f"eigenpair residual {residual:.3e} exceeds 1e-10 * ||A|| = "
+                f"{1e-10 * norm:.3e}")
         split = float(e1 - e0)
         history.append((n, split))
         if (split > 0.0 and len(history) > 1
@@ -158,15 +167,19 @@ def _inverse_iteration(view: MeanFieldView, panels: int):
             rho * phi, half, reverse=True) * inv, half) / view.x0**2
         # next to phi(0) = 0 the ratio is one of two tiny numbers; such
         # nodes are left out so that they cannot hold the bracket open
-        keep = phi > floor * phi.max()
+        # (g peaks at 1, and so does every iterate)
+        keep = phi > floor
         ratio = psi[keep] / phi[keep]
         bracket = (float(1.0 / ratio.max()), float(1.0 / ratio.min()))
-        weighted = rho_w * psi
+        # rho psi^2 overflows once 1/rho passes ~e^355 (dU of about 370);
+        # scaling by a power of two changes no rounding of the quotient
+        top = psi.max()
+        weighted = rho_w * psi * 2.0 ** -math.frexp(top)[1]
         value = float(np.vdot(weighted, phi) / np.vdot(weighted, psi))
         settled = bracket[1] - bracket[0] <= numerics.REL_TOL * value
         if settled:
             break
-        phi = psi / psi.max()
+        phi = psi / top
     return value, bracket, iteration, settled
 
 

@@ -110,9 +110,9 @@ class SweepRow:
     rel_errors maps method name to (estimate - exact)/exact, present
     only when the exact value was computed.
     failures maps method name to a short tag when that method raised,
-    did not converge or gave a non-finite value, or (exact) exceeded the
-    localization upper bound; "width" maps to the error type and message
-    when the barrier width could not be measured (width is then None).
+    did not converge, gave no finite positive value or (exact) exceeded
+    the localization upper bound; "width" maps to the error type and
+    message when the barrier width could not be measured (width is None).
     diagnostics holds n_panels and iterations (exact, also unconverged),
     i_integral and g_norm (localization), and turning_points (in the
     unit of width), action and well_frequency (wkb).
@@ -139,11 +139,11 @@ def evaluate(model: models.ModelLike,
     In E_u units the operator is -x0^2 d2/dx2 + deltaV(x).  exact and
     localization read the model's MeanFieldView; wkb gets the operator in
     s = x/x0 as -d2/ds2 + deltaV(x0 s), with the well at s = 1.  A method
-    that raises, does not converge or gives a non-finite value becomes a
-    failure; the other methods still run.  So does an exact value above
-    the localization upper bound by more than numerics.REL_TOL relative,
-    when both were computed.  A width that cannot be measured is None and
-    named in failures["width"]; the splittings do not depend on it.
+    that raises, does not converge or gives no finite positive value
+    becomes a failure; the other methods still run.  So does an exact
+    value more than numerics.REL_TOL relative above the localization
+    bound, when both were computed.  A width that cannot be measured is
+    None and named in failures["width"]; the splittings do not depend on it.
     """
     methods = canonical_methods(methods)
     x0 = model.x0
@@ -193,6 +193,8 @@ def evaluate(model: models.ModelLike,
             failures[method] = "not converged"
         elif not math.isfinite(res.splitting):
             failures[method] = f"non-finite splitting {res.splitting!r}"
+        elif not res.splitting > 0.0:
+            failures[method] = f"non-positive splitting {res.splitting!r}"
         else:
             splittings[method] = res.splitting
 

@@ -8,8 +8,8 @@ analytic, so the panel sums converge geometrically in P.
 discretization that `localization` and `exact` share: the integral up to
 or beyond each node, from the degree-15 interpolant within a panel
 (Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels.
-Besides the rule there are a bracketed root finder (Illinois false
-position) and a dense symmetric eigensolver.
+Besides the rule there is a bracketed root finder (Illinois false
+position).
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class NumericsError(RuntimeError):
 
 class RootBracketError(NumericsError):
     """Root finding failed: the bracket does not change sign."""
-
-
-class EigenSolverError(NumericsError):
-    """Symmetric eigensolver failed or produced residuals above tolerance."""
 
 
 # _F[i, j] weighs f(t_j) in the integral from -1 to t_i of the degree-15
@@ -157,42 +153,3 @@ def find_root_bracketed(
             if kept == -1:
                 f_hi *= 0.5
             kept = -1
-
-
-def eig_symmetric_lowest(a: np.ndarray, k: int):
-    """Lowest k eigenpairs of a dense real symmetric matrix.
-
-    Symmetry is the caller's invariant: the solver reads the lower
-    triangle of ``a``.
-
-    Returns
-    -------
-    (values, vectors)
-        values: ascending array of the k smallest eigenvalues.
-        vectors: (n, k) array whose columns are the orthonormal eigenvectors.
-
-    Raises
-    ------
-    EigenSolverError
-        If the solver fails to converge or the residuals ||A v - lambda v||
-        exceed 1e-10 times the largest row 2-norm of A, a lower bound of
-        ||A||_2.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"symmetric eigensolver failed: {exc}") from exc
-    values, vectors = values[:k], vectors[:, :k]
-    norm = float(np.sqrt(np.max(np.sum(a * a, axis=1)))) or 1.0
-    residual = float(np.max(np.abs(a @ vectors - vectors * values)))
-    if not residual <= 1e-10 * norm:
-        raise EigenSolverError(
-            f"eigenpair residual {residual:.3e} exceeds 1e-10 * ||A|| = {1e-10 * norm:.3e}"
-        )
-    return values, vectors

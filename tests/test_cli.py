@@ -113,6 +113,16 @@ class TestSplit:
         assert doc["failures"] == {}
         assert doc["validity_warnings"] == []
 
+    def test_barrier_of_400_is_resolved(self, capsys):
+        # dU = 400: 1/rho_eq reaches ~e^400, which once overflowed exact
+        code, out, _ = run(capsys, "split", "--alpha", "1",
+                           "--sigma", "0.0353")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["failures"] == {}
+        assert 0.0 < doc["splittings"]["exact"] <= \
+            doc["splittings"]["localization"]
+
     def test_resolves_height_width_pair(self, capsys):
         code, out, _ = run(capsys, "split", "--dv", "30", "--width", "0.64")
         assert code == 0
@@ -262,6 +272,14 @@ class TestSweep:
         assert [r["swept_value"] for r in doc["rows"]] == [3.0, 4.0]
         assert doc["rows"][0]["splitting_exact"] is None
         assert doc["rows"][0]["splitting_localization"] > 0
+
+    def test_high_barrier_rows_are_resolved(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "simple-du",
+                           "--du", "300:500:3", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert all(r["splitting_exact"] > 0 and not r["failures"]
+                   for r in rows)
 
     def test_quartic_family(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "quartic-du",

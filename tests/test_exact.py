@@ -100,6 +100,8 @@ class TestConvergenceBookkeeping:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="curvature"):
             exact.exact_splitting(lambda x: -x * x, 0.0, -2.0)
+        with pytest.raises(ValueError, match="curvature"):
+            exact.exact_splitting(lambda x: 0.25 * x * x, 1.0, float("nan"))
 
     @pytest.mark.parametrize("du, converged", [(1.0, True), (4.0, True),
                                                (8.0, True), (12.0, False),
@@ -133,6 +135,30 @@ class TestGreenSplitting:
         res = exact.green_splitting(self.view(du))
         assert res.converged
         assert res.splitting == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("sigma, x0", [(0.3, 1.0), (0.5, 2.0)])
+    def test_ornstein_uhlenbeck_eigenvalue(self, sigma, x0):
+        # for one Gaussian, L phi = -x0^2 (phi'' - x phi'/sigma^2) and
+        # phi = x is the odd eigenfunction, with eigenvalue x0^2/sigma^2
+        view = models.MeanFieldView(
+            rho_eq=lambda x: (np.exp(-0.5 * (x / sigma) ** 2)
+                              / (sigma * np.sqrt(2.0 * np.pi))),
+            x0=x0, x_m=sigma, domain_halfwidth=10.0 * sigma)
+        res = exact.green_splitting(view)
+        assert res.converged
+        assert res.splitting == pytest.approx((x0 / sigma) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("model", [
+        models.TwoGaussianModel(sigma=models.sigma_for_du(400.0)),
+        models.QuarticMeanFieldModel(du=659.0),
+    ], ids=["two_gaussian-du400", "quartic-du659"])
+    def test_no_overflow_at_high_barriers(self, model):
+        # 1/rho_eq reaches ~e^dU, and rho psi^2 ~e^(2 dU) once overflowed
+        # to inf, which took the value to 0
+        res = exact.green_splitting(models.meanfield_view(model))
+        lower, upper = res.bracket
+        assert res.converged
+        assert 0.0 < lower <= res.splitting <= upper
 
     @pytest.mark.parametrize("du", [1.0, 6.0, 20.0, 40.0])
     def test_bracket_holds_the_value(self, du):

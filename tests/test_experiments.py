@@ -222,16 +222,18 @@ class TestEvaluate:
         assert set(row.splittings) == {"exact", "localization"}
 
     def test_non_finite_splitting_is_a_failure(self, monkeypatch):
-        def infinite(view):
-            return experiments.localization.LocalizationResult(
-                splitting=math.inf, i_value=1.0, g_norm=1.0, x_m=view.x_m)
-
-        monkeypatch.setattr(experiments.localization,
-                            "splitting_localization", infinite)
-        row = experiments.evaluate(models.QuarticMeanFieldModel(du=3.0),
-                                   ("localization", "wkb"))
-        assert row.failures == {"localization": "non-finite splitting inf"}
-        assert set(row.splittings) == {"wkb"}
+        # a zero exact value would divide by zero in rel_errors; every
+        # method follows the same rule
+        for value, tag in ((math.inf, "non-finite splitting inf"),
+                           (0.0, "non-positive splitting 0.0")):
+            monkeypatch.setattr(
+                experiments.localization, "splitting_localization",
+                lambda view: experiments.localization.LocalizationResult(
+                    splitting=value, i_value=1.0, g_norm=1.0, x_m=view.x_m))
+            row = experiments.evaluate(models.QuarticMeanFieldModel(du=3.0),
+                                       ("localization", "wkb"))
+            assert row.failures == {"localization": tag}
+            assert set(row.splittings) == {"wkb"}
 
 
 class TestReducedCoordinate:

@@ -100,13 +100,11 @@ class TestBoundProperty:
         model = models.TwoGaussianModel(sigma=0.3247, alpha=1.5)
         view = models.meanfield_view(model)
         bound = localization.splitting_localization(view).splitting
-        truth = exact.exact_splitting(
-            lambda x: models.quantum_potential_closed(model, x),
-            well_location=model.x0,
-            well_curvature=models.curvature_at_minima(model)).splitting
-        assert bound > truth
+        truth = exact.green_splitting(view)
+        assert truth.converged
+        assert bound > truth.splitting
         # separated wells: the bound is tight to a couple percent
-        assert bound == pytest.approx(truth, rel=0.05)
+        assert bound == pytest.approx(truth.splitting, rel=0.05)
 
 
 class TestResultObject:

@@ -1,4 +1,4 @@
-"""Kernel-level checks: quadrature, running integrals, root finding, eigensolver."""
+"""Kernel-level checks: quadrature, running integrals, root finding."""
 
 import math
 
@@ -117,22 +117,3 @@ class TestFindRootBracketed:
         # would not end
         with pytest.raises(numerics.NumericsError, match="not finite"):
             numerics.find_root_bracketed(f, 0.0, 1.0)
-
-
-class TestEigSymmetricLowest:
-    def test_known_spectrum(self):
-        # eigenvalues 1, 2, 4 by construction
-        q, _ = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))
-        m = q @ np.diag([4.0, 1.0, 2.0]) @ q.T
-        values, vectors = numerics.eig_symmetric_lowest(m, 2)
-        assert values == pytest.approx([1.0, 2.0], rel=1e-12)
-        assert vectors.shape == (3, 2)
-
-    def test_residuals_small(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((20, 20))
-        m = a + a.T
-        values, vectors = numerics.eig_symmetric_lowest(m, 3)
-        for i in range(3):
-            r = m @ vectors[:, i] - values[i] * vectors[:, i]
-            assert np.max(np.abs(r)) < 1e-10 * max(np.abs(values).max(), 1.0)

@@ -118,5 +118,6 @@ class TestAccuracyRegime:
         dv = lambda x: models.quantum_potential_closed(model, x)
         curv = models.curvature_at_minima(model)
         semic = wkb.wkb_splitting(dv, curv, model.x0).splitting
-        truth = exact.exact_splitting(dv, model.x0, curv).splitting
-        assert semic == pytest.approx(truth, rel=0.03)
+        truth = exact.green_splitting(models.meanfield_view(model))
+        assert truth.converged
+        assert semic == pytest.approx(truth.splitting, rel=0.03)
