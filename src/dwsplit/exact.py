@@ -7,12 +7,12 @@ diffusion-picture operator L phi = -x0^2 rho^-1 (rho phi')', whose lowest
 eigenvalue in the odd sector is the splitting.  Its inverse K is the
 flux-over-population double integral (Haenggi, Talkner & Borkovec, Rev.
 Mod. Phys. 62, 251, 1990).  K acts on the density discretization of the
-localization estimate: `localization.panel_density` and
-`localization.localization_function` give rho, 1/rho and the start vector
-g on the panel nodes, and both integrals are `numerics.running_integral`,
-the inner one summed from L inwards so that it keeps its relative
-accuracy in the tail.  The localization estimate is the Rayleigh quotient
-of g, so inverse iteration only improves on it.
+localization estimate: each step of `localization.discretizations` gives
+rho, 1/rho and the start vector g on the panel nodes, and both integrals
+are `numerics.running_integral`, the inner one summed from L inwards so
+that it keeps its relative accuracy in the tail.  The localization
+estimate is the Rayleigh quotient of g, so inverse iteration only
+improves on it; the one pass returns both.
 
 ``exact_splitting(delta_v, well_location, well_curvature)`` takes a bare
 deltaV(s), for callers that have no density.  It diagonalizes
@@ -132,7 +132,6 @@ def exact_splitting(
         converged=converged, convergence_history=tuple(history))
 
 
-_GREEN_PANELS = [p for p in numerics.PANELS if p >= 32]
 _GREEN_ITERATIONS = 50
 
 
@@ -140,13 +139,14 @@ _GREEN_ITERATIONS = 50
 class GreenSplittingResult:
     """Lowest odd-sector eigenvalue of the diffusion-picture operator.
 
-    splitting : Rayleigh quotient of the last iterate, E_u units.
+    splitting : last iterate's Rayleigh quotient, in the bracket, E_u units.
     bracket : (lower, upper) Collatz-Wielandt bounds from the same iterate.
     n_panels : panel count P of the result, P/2 on [0, x_m] and P/2 on
         [x_m, domain_halfwidth].
     iterations : applications of K at that panel count.
     converged : the bracket closed to REL_TOL at P and at P/2, and the
-        two Rayleigh quotients agree to REL_TOL.
+        two Rayleigh quotients, I and <g|rho|g> agree to REL_TOL.
+    localization : the estimate at P; None unless its I and <g|rho|g> settled.
     """
 
     splitting: float
@@ -154,12 +154,11 @@ class GreenSplittingResult:
     n_panels: int
     iterations: int
     converged: bool
+    localization: localization.LocalizationResult | None
 
 
-def _inverse_iteration(view: MeanFieldView, panels: int):
-    """(value, bracket, iterations, settled) of K iterated on P panels."""
-    half, rho, inv = localization.panel_density(view, panels)
-    _, phi = localization.localization_function(half, inv)
+def _inverse_iteration(view: MeanFieldView, half, rho, inv, phi):
+    """(value, bracket, iterations, settled) of K iterated from phi."""
     rho_w = half * numerics.WEIGHTS * rho
     floor = np.sqrt(np.finfo(float).eps)
     for iteration in range(1, _GREEN_ITERATIONS + 1):
@@ -176,6 +175,8 @@ def _inverse_iteration(view: MeanFieldView, panels: int):
         top = psi.max()
         weighted = rho_w * psi * 2.0 ** -math.frexp(top)[1]
         value = float(np.vdot(weighted, phi) / np.vdot(weighted, psi))
+        # the quotient can round a few ulps past the rounded bracket ends
+        value = min(max(value, bracket[0]), bracket[1])
         settled = bracket[1] - bracket[0] <= numerics.REL_TOL * value
         if settled:
             break
@@ -194,10 +195,10 @@ def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
     Collatz-Wielandt bracket 1/max(K phi/phi) <= lambda <= 1/min(K phi/phi)
     holds.  Iteration stops when that bracket, over nodes with phi above
     sqrt(eps) max phi, is narrower than numerics.REL_TOL relative, or
-    after 50 iterations.  P doubles from 32 until the P/2 and P results
-    both settled and agree to REL_TOL; the P result is returned.
-    Otherwise the last one, at 4096 panels, comes back with
-    converged=False.
+    after 50 iterations.  P doubles from 32 along
+    `localization.discretizations` until the result is converged (see
+    GreenSplittingResult); otherwise the one at 4096 panels comes back
+    with converged=False.
 
     Raises
     ------
@@ -205,13 +206,14 @@ def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
         If rho_eq underflows on the nodes, so that 1/rho_eq is not finite.
     """
     last = None
-    for panels in _GREEN_PANELS:
-        value, bracket, iterations, settled = _inverse_iteration(view, panels)
-        converged = (settled and last is not None and last[1]
+    for *arrays, estimate, settled in localization.discretizations(view):
+        value, bracket, iterations, closed = _inverse_iteration(view, *arrays)
+        converged = (closed and settled and last is not None and last[1]
                      and abs(value - last[0]) <= numerics.REL_TOL * value)
         if converged:
             break
-        last = value, settled
-    return GreenSplittingResult(splitting=value, bracket=bracket,
-                                n_panels=panels, iterations=iterations,
-                                converged=converged)
+        last = value, closed
+    return GreenSplittingResult(
+        splitting=value, bracket=bracket, n_panels=len(arrays[0]),
+        iterations=iterations, converged=converged,
+        localization=estimate if settled else None)

@@ -16,14 +16,12 @@ Three sweep families cover the standard studies:
 ``evaluate`` turns one model into a row: barrier heights, width, overlap,
 the requested splitting estimates (exact, localization bound, WKB) and
 their diagnostics, with each method's failure isolated in the row.  exact
-is ``exact.green_splitting`` on the model's ``MeanFieldView``: inverse
-iteration on the Green's operator of the diffusion-picture operator,
-converged when its Collatz-Wielandt bracket and two panel counts agree to
-1e-12 relative.  An exact value above the localization upper bound is
-still a failure, as a check of that invariant.  ``run_sweep`` builds the
-model of each swept value and calls it, and so does ``dwsplit split`` for
-its single model, so one pathological row cannot abort a long sweep and
-both commands report the same numbers.
+and localization come from one ``exact.green_splitting`` pass over the
+model's ``MeanFieldView``.  An exact value above the localization upper
+bound is still a failure, as a check of that invariant.  ``run_sweep``
+builds the model of each swept value and calls it, and so does ``dwsplit
+split`` for its single model, so one pathological row cannot abort a long
+sweep and both commands report the same numbers.
 
 The sigma/x0 band is checked only by the ``TwoGaussianModel`` constructor;
 sigma falls as the swept value grows, so a sweep that leaves the band
@@ -38,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import exact, localization, models, numerics, wkb
+from . import exact, models, numerics, wkb
 
 SWEEP_FAMILIES = ("simple_gaussian_dU", "extended_fixed_dV", "quartic_dU")
 METHODS = ("exact", "localization", "wkb")
@@ -114,8 +112,8 @@ class SweepRow:
     the localization upper bound; "width" maps to the error type and
     message when the barrier width could not be measured (width is None).
     diagnostics holds n_panels and iterations (exact, also unconverged),
-    i_integral and g_norm (localization), and turning_points (in the
-    unit of width), action and well_frequency (wkb).
+    i_integral and g_norm (localization, at the same n_panels), and
+    turning_points (in the unit of width), action and well_frequency (wkb).
     """
 
     swept_value: float | None
@@ -137,13 +135,14 @@ def evaluate(model: models.ModelLike,
     """Every requested splitting of one model, as a row with swept_value None.
 
     In E_u units the operator is -x0^2 d2/dx2 + deltaV(x).  exact and
-    localization read the model's MeanFieldView; wkb gets the operator in
-    s = x/x0 as -d2/ds2 + deltaV(x0 s), with the well at s = 1.  A method
-    that raises, does not converge or gives no finite positive value
-    becomes a failure; the other methods still run.  So does an exact
-    value more than numerics.REL_TOL relative above the localization
-    bound, when both were computed.  A width that cannot be measured is
-    None and named in failures["width"]; the splittings do not depend on it.
+    localization read one exact.green_splitting pass over the model's
+    MeanFieldView; wkb gets the operator in s = x/x0 as -d2/ds2 +
+    deltaV(x0 s), with the well at s = 1.  A method that raises, does not
+    converge or gives no finite positive value becomes a failure; the
+    other methods still run.  So does an exact value more than
+    numerics.REL_TOL relative above the localization bound, when both
+    were computed.  A width that cannot be measured is None and named in
+    failures["width"]; the splittings do not depend on it.
     """
     methods = canonical_methods(methods)
     x0 = model.x0
@@ -167,20 +166,23 @@ def evaluate(model: models.ModelLike,
     splittings: dict[str, float] = {}
     failures: dict[str, str] = {}
     diagnostics: dict[str, object] = {}
-    view = None
+    green = None
     for method in methods:
-        converged = True
         try:
-            if method != "wkb" and view is None:
-                view = models.meanfield_view(model)
+            if method != "wkb" and green is None:
+                if "exact" in failures:   # the one pass raised for exact
+                    failures[method] = failures["exact"]
+                    continue
+                green = exact.green_splitting(models.meanfield_view(model))
             if method == "exact":
-                res = exact.green_splitting(view)
-                converged = res.converged
-                diagnostics.update(n_panels=res.n_panels,
-                                   iterations=res.iterations)
+                res = green if green.converged else None
+                diagnostics.update(n_panels=green.n_panels,
+                                   iterations=green.iterations)
             elif method == "localization":
-                res = localization.splitting_localization(view)
-                diagnostics.update(i_integral=res.i_value, g_norm=res.g_norm)
+                res = green.localization
+                if res is not None:
+                    diagnostics.update(i_integral=res.i_value,
+                                       g_norm=res.g_norm)
             else:
                 res = wkb.wkb_splitting(dv_s, curvature, 1.0)
                 diagnostics.update(
@@ -189,7 +191,7 @@ def evaluate(model: models.ModelLike,
         except (ValueError, ArithmeticError, numerics.NumericsError) as err:
             failures[method] = f"{type(err).__name__}: {err}"
             continue
-        if not converged:
+        if res is None:
             failures[method] = "not converged"
         elif not math.isfinite(res.splitting):
             failures[method] = f"non-finite splitting {res.splitting!r}"

@@ -18,12 +18,10 @@ The bound tightens exponentially as the wells separate.  It is the
 Rayleigh quotient of g for the operator that `exact.green_splitting`
 inverts, and g is where that iteration starts.
 
-Both read one discretization: P/2 equal panels on [0, x_m] and P/2 on
-[x_m, domain_halfwidth], with rho_eq and 1/rho_eq on the 16 Gauss-Legendre
-nodes of each panel (`panel_density`, the one rho_eq underflow check),
-and I and g on those nodes (`localization_function`).  Here P doubles
-from 16 until I and <g|rho_eq|g> settle to 1e-12 relative; NumericsError
-is raised if they have not at 8192 panels.
+Both read one discretization of rho_eq per panel count P (`discretize`)
+and run the same P = 32, 64, ..., 4096 (`discretizations`).  The estimate
+is read at the first P where I and <g|rho_eq|g> agree with their P/2
+values to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -35,6 +33,8 @@ import numpy as np
 from . import numerics
 from .models import MeanFieldView
 from .numerics import NODES, PANELS, REL_TOL, WEIGHTS
+
+PANEL_COUNTS = [p for p in PANELS if p >= 32]  # 32, 64, ..., 4096
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,17 @@ class LocalizationResult:
     x_m: float
 
 
-def panel_density(view: MeanFieldView, panels: int):
-    """(half, rho, inv) on P panels: P/2 on [0, x_m], P/2 on [x_m, L].
+def discretize(view: MeanFieldView, panels: int):
+    """(half, rho, inv, g, estimate) on P panels.
 
-    half holds the panel half-widths, shape (P, 1); rho and inv hold
-    rho_eq and 1/rho_eq on the NODES of each panel, shape (P, 16).
-    Raises NumericsError if 1/rho_eq is not finite there (rho_eq underflows).
+    P/2 equal panels cover [0, x_m] and P/2 [x_m, domain_halfwidth].  half
+    holds their half-widths, shape (P, 1); rho, inv and g hold rho_eq,
+    1/rho_eq and g on the 16 NODES of each panel, shape (P, 16).  I sums
+    the first P/2 panels whole; g = min(C/I, 1) with C the running
+    integral of 1/rho_eq, and g = 1 on every node of [x_m, L].  estimate
+    is the LocalizationResult from I and <g|rho_eq|g>.  Raises
+    NumericsError if 1/rho_eq is not finite on the nodes (rho_eq
+    underflows): the one underflow check of the density.
     """
     edges = np.concatenate([
         np.linspace(0.0, view.x_m, panels // 2 + 1),
@@ -71,38 +76,35 @@ def panel_density(view: MeanFieldView, panels: int):
         raise numerics.NumericsError(
             f"1/rho_eq is not finite on the panel nodes: rho_eq underflows "
             f"({view.label})")
-    return half, rho, inv
-
-
-def localization_function(half, inv):
-    """(I, g) on the nodes of `panel_density`'s panels.
-
-    I = integral_0^{x_m} dy / rho_eq sums the first P/2 panels whole;
-    g = min(C/I, 1) with C the running integral of 1/rho_eq, and g = 1 on
-    every node of [x_m, L].
-    """
-    m = half.shape[0] // 2
+    m = panels // 2
     i_value = float(half[:m, 0] @ (inv[:m] @ WEIGHTS))
     g = np.ones_like(inv)
     g[:m] = np.minimum(numerics.running_integral(inv[:m], half[:m]) / i_value,
                        1.0)
-    return i_value, g
+    # the integrand is even: double the half-line sum
+    g_norm = 2.0 * float(np.sum(half * WEIGHTS * g * g * rho))
+    return half, rho, inv, g, LocalizationResult(
+        splitting=2.0 * view.x0**2 / (i_value * g_norm), i_value=i_value,
+        g_norm=g_norm, x_m=view.x_m)
+
+
+def discretizations(view: MeanFieldView):
+    """Yield (*discretize(view, P), settled) for P in PANEL_COUNTS, where
+    settled means that I and <g|rho_eq|g> agree with P/2's to REL_TOL."""
+    last = None
+    for panels in PANEL_COUNTS:
+        *arrays, estimate = discretize(view, panels)
+        now = np.array([estimate.i_value, estimate.g_norm])
+        yield (*arrays, estimate, last is not None
+               and bool(np.all(abs(now - last) <= REL_TOL * now)))
+        last = now
 
 
 def splitting_localization(view: MeanFieldView) -> LocalizationResult:
     """Localization-function upper bound on the tunneling splitting."""
-    last = None
-    for n in PANELS:
-        half, rho, inv = panel_density(view, 2 * n)
-        i_value, g = localization_function(half, inv)
-        # the integrand is even: double the half-line sum
-        current = np.array([i_value, 2.0 * np.sum(half * WEIGHTS * g * g * rho)])
-        if last is not None and np.all(abs(current - last) <= REL_TOL * current):
-            g_norm = float(current[1])
-            return LocalizationResult(
-                splitting=2.0 * view.x0**2 / (i_value * g_norm),
-                i_value=i_value, g_norm=g_norm, x_m=view.x_m)
-        last = current
+    for *_, estimate, settled in discretizations(view):
+        if settled:
+            return estimate
     raise numerics.NumericsError(
         f"localization integrals not settled to {REL_TOL:g} relative with "
-        f"{2 * PANELS[-1]} panels ({view.label})")
+        f"{PANEL_COUNTS[-1]} panels ({view.label})")

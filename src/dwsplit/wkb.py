@@ -36,7 +36,7 @@ from . import numerics
 
 
 class WkbInapplicableError(ValueError):
-    """The ground level sits at or above the barrier top: no tunneling regime."""
+    """No tunneling regime: not a minimum at x_min, or no barrier above it."""
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,14 @@ def wkb_splitting(
     Raises
     ------
     WkbInapplicableError
-        If the ground level deltaV(x_min) + omega/2 reaches the barrier
-        top, leaving no classically forbidden region.
+        If x_min is not a minimum (curvature_min <= 0), or if the ground
+        level deltaV(x_min) + omega/2 reaches the barrier top.
     NumericsError
         If exp(-Theta) underflows, so the splitting is not a normal float.
     """
-    if curvature_min <= 0:
-        raise ValueError(f"curvature_min must be positive, got {curvature_min}")
+    if not curvature_min > 0:
+        raise WkbInapplicableError(f"curvature_min = {curvature_min:.6g}: "
+                                   f"x_min is not a minimum of deltaV")
     if x_min <= 0:
         raise ValueError(f"x_min must be positive, got {x_min}")
 

@@ -71,9 +71,9 @@ def test_tracing_round_trip():
 
 
 def test_tracing_round_trip_of_evaluate():
-    # exact reads the density discretization through localization's
-    # public functions, which the tracer wraps as well
-    originals = (experiments.evaluate, localization.localization_function)
+    # exact and localization read one density discretization per panel
+    # count, built by a public function that the tracer wraps as well
+    originals = (experiments.evaluate, localization.discretize)
     model = models.TwoGaussianModel(sigma=CLI_MODEL[1], alpha=CLI_MODEL[0])
     plain = experiments.evaluate(model)
     tracer = tracing.Tracer()
@@ -84,7 +84,7 @@ def test_tracing_round_trip_of_evaluate():
         undo()
     assert traced == plain
     assert tracer.stats["exact.green_splitting.calls"] == 1
-    # two panel counts at least in each of exact and localization
-    assert tracer.stats["localization.localization_function.calls"] >= 4
-    assert (experiments.evaluate,
-            localization.localization_function) == originals
+    visited = [p for p in localization.PANEL_COUNTS
+               if p <= traced.diagnostics["n_panels"]]
+    assert tracer.stats["localization.discretize.calls"] == len(visited) == 2
+    assert (experiments.evaluate, localization.discretize) == originals

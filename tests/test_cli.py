@@ -170,6 +170,7 @@ class TestSplit:
         assert set(doc["failures"]) == {"exact", "localization", "wkb"}
         assert doc["failures"]["exact"].startswith("NumericsError: ")
         assert "rho_eq underflows" in doc["failures"]["exact"]
+        assert doc["failures"]["localization"] == doc["failures"]["exact"]
         assert "n_panels" not in doc["diagnostics"]
         assert "failed" in err
 

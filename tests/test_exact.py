@@ -160,9 +160,15 @@ class TestGreenSplitting:
         assert res.converged
         assert 0.0 < lower <= res.splitting <= upper
 
-    @pytest.mark.parametrize("du", [1.0, 6.0, 20.0, 40.0])
-    def test_bracket_holds_the_value(self, du):
-        res = exact.green_splitting(self.view(du))
+    @pytest.mark.parametrize("model", [
+        *(models.TwoGaussianModel(sigma=models.sigma_for_du(du),
+                                  allow_out_of_range=du < 1.31)
+          for du in (1.0, 6.0, 20.0, 40.0)),
+        # unclamped, the Rayleigh quotient rounds 3 ulps below the lower end
+        models.QuarticMeanFieldModel(du=185.0),
+    ], ids=["1.0", "6.0", "20.0", "40.0", "quartic-185.0"])
+    def test_bracket_holds_the_value(self, model):
+        res = exact.green_splitting(models.meanfield_view(model))
         lower, upper = res.bracket
         assert lower <= res.splitting <= upper
         assert upper - lower <= 1e-12 * res.splitting
@@ -170,7 +176,7 @@ class TestGreenSplitting:
     @pytest.mark.parametrize("du", [1.0, 12.0, 40.0])
     def test_doubling_the_panels_keeps_the_value(self, du, monkeypatch):
         res = exact.green_splitting(self.view(du))
-        monkeypatch.setattr(exact, "_GREEN_PANELS",
+        monkeypatch.setattr(localization, "PANEL_COUNTS",
                             [2 * res.n_panels, 4 * res.n_panels])
         finer = exact.green_splitting(self.view(du))
         assert finer.converged and finer.n_panels == 4 * res.n_panels
@@ -204,7 +210,7 @@ class TestGreenSplitting:
         res = exact.green_splitting(self.view(3.0))
         assert not res.converged
         assert res.iterations == 1
-        assert res.n_panels == exact._GREEN_PANELS[-1]
+        assert res.n_panels == localization.PANEL_COUNTS[-1]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("model", [

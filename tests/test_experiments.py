@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dwsplit import experiments, models
+from dwsplit import experiments, localization, models
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -194,6 +194,15 @@ class TestEvaluate:
         assert row.diagnostics["n_panels"] == 4096
         assert row.diagnostics["iterations"] == 1
 
+    def test_unsettled_localization_is_a_failure(self, monkeypatch):
+        # at one panel count, I and <g|rho|g> have nothing to agree with
+        monkeypatch.setattr(localization, "PANEL_COUNTS", [64])
+        row = experiments.evaluate(models.TwoGaussianModel(sigma=0.3593),
+                                   ("exact", "localization"))
+        assert row.failures == {"exact": "not converged",
+                                "localization": "not converged"}
+        assert row.splittings == {} and "i_integral" not in row.diagnostics
+
     def test_exact_above_the_bound_is_a_failure(self, monkeypatch):
         # the Green's-operator value obeys the bound, so a result 1 %
         # above it stands in for a broken solver
@@ -224,14 +233,15 @@ class TestEvaluate:
     def test_non_finite_splitting_is_a_failure(self, monkeypatch):
         # a zero exact value would divide by zero in rel_errors; every
         # method follows the same rule
+        model = models.QuarticMeanFieldModel(du=3.0)
+        res = experiments.exact.green_splitting(models.meanfield_view(model))
         for value, tag in ((math.inf, "non-finite splitting inf"),
                            (0.0, "non-positive splitting 0.0")):
             monkeypatch.setattr(
-                experiments.localization, "splitting_localization",
-                lambda view: experiments.localization.LocalizationResult(
-                    splitting=value, i_value=1.0, g_norm=1.0, x_m=view.x_m))
-            row = experiments.evaluate(models.QuarticMeanFieldModel(du=3.0),
-                                       ("localization", "wkb"))
+                experiments.exact, "green_splitting",
+                lambda view: replace(res, localization=replace(
+                    res.localization, splitting=value)))
+            row = experiments.evaluate(model, ("localization", "wkb"))
             assert row.failures == {"localization": tag}
             assert set(row.splittings) == {"wkb"}
 

@@ -64,8 +64,8 @@ class TestLocalizationFunction:
     """g on the nodes of the panels that localization and exact share."""
 
     def node_values(self, panels=64):
-        half, _, inv = localization.panel_density(reference_view(), panels)
-        return localization.localization_function(half, inv)
+        *_, g, estimate = localization.discretize(reference_view(), panels)
+        return estimate.i_value, g
 
     def test_positive_and_clipped(self):
         _, g = self.node_values()
@@ -93,6 +93,26 @@ class TestUnderflow:
         view = models.meanfield_view(model)
         with pytest.raises(numerics.NumericsError, match="rho_eq underflows"):
             localization.splitting_localization(view)
+
+
+class TestOnePass:
+    """green_splitting carries the estimate of the panels it stopped at."""
+
+    @pytest.mark.parametrize("model", [
+        *(models.TwoGaussianModel(sigma=models.sigma_for_du(du),
+                                  allow_out_of_range=True)
+          for du in np.linspace(1.0, 12.0, 40)),
+        models.QuarticMeanFieldModel(du=3.0),
+        models.TwoGaussianModel(sigma=models.sigma_for_delta_v(15.0, 2.0),
+                                alpha=2.0),
+    ])
+    def test_matches_splitting_localization(self, model):
+        view = models.meanfield_view(model)
+        one_pass = exact.green_splitting(view).localization
+        reference = localization.splitting_localization(view)
+        for field in ("splitting", "i_value", "g_norm"):
+            assert getattr(one_pass, field) == pytest.approx(
+                getattr(reference, field), rel=1e-12)
 
 
 class TestBoundProperty:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dwsplit import exact, models, numerics, wkb
+from dwsplit import exact, experiments, models, numerics, wkb
 
 
 def deep_well(delta_v_height=30.0, width=0.5):
@@ -92,6 +92,14 @@ class TestApplicabilityLimits:
         dv = lambda x: 0.05 * (x * x - 1.0) ** 2
         with pytest.raises(wkb.WkbInapplicableError):
             wkb.wkb_splitting(dv, 0.4, 1.0)
+
+    def test_quartic_well_below_three_eighths_is_no_minimum(self):
+        # at du = 0.2, deltaV''(x0) = -1.12: x0 is not a minimum of deltaV
+        row = experiments.evaluate(models.QuarticMeanFieldModel(du=0.2))
+        assert row.failures["wkb"].startswith("WkbInapplicableError: ")
+        assert "not a minimum" in row.failures["wkb"]
+        with pytest.raises(wkb.WkbInapplicableError, match="curvature_min"):
+            wkb.wkb_splitting(lambda x: x * x, math.nan, 1.0)
 
     def test_parameter_validation(self):
         dv = lambda x: (x * x - 1.0) ** 2
