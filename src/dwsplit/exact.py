@@ -8,11 +8,13 @@ eigenvalue in the odd sector is the splitting.  Its inverse K is the
 flux-over-population double integral (Haenggi, Talkner & Borkovec, Rev.
 Mod. Phys. 62, 251, 1990).  K acts on the density discretization of the
 localization estimate: each step of `localization.discretizations` gives
-rho, 1/rho and the start vector g on the panel nodes, and both integrals
-are `numerics.running_integral`, the inner one summed from L inwards so
-that it keeps its relative accuracy in the tail.  The localization
-estimate is the Rayleigh quotient of g, so inverse iteration only
-improves on it; the one pass returns both.
+rho, 1/rho and g on the panel nodes, and both integrals are
+`numerics.running_integral`, the inner one summed from L inwards so that
+it keeps its relative accuracy in the tail.  The localization estimate is
+the Rayleigh quotient of g, so inverse iteration from g only improves on
+it; the one pass returns both.  Later panel counts start from g plus the
+coarser count's correction (nested iteration, Brandt, Math. Comp. 31,
+333, 1977).
 
 ``exact_splitting(delta_v, well_location, well_curvature)`` takes a bare
 deltaV(s), for callers that have no density.  It diagonalizes
@@ -143,7 +145,8 @@ class GreenSplittingResult:
     bracket : (lower, upper) Collatz-Wielandt bounds from the same iterate.
     n_panels : panel count P of the result, P/2 on [0, x_m] and P/2 on
         [x_m, domain_halfwidth].
-    iterations : applications of K at that panel count.
+    iterations : applications of K at that panel count, started from the
+        coarser count's correction (from g at the first count).
     converged : the bracket closed to REL_TOL at P and at P/2, and the
         two Rayleigh quotients, I and <g|rho|g> agree to REL_TOL.
     localization : the estimate at P; None unless its I and <g|rho|g> settled.
@@ -158,7 +161,7 @@ class GreenSplittingResult:
 
 
 def _inverse_iteration(view: MeanFieldView, half, rho, inv, phi):
-    """(value, bracket, iterations, settled) of K iterated from phi."""
+    """(value, bracket, iterations, settled, next phi) of K from phi."""
     rho_w = half * numerics.WEIGHTS * rho
     floor = np.sqrt(np.finfo(float).eps)
     for iteration in range(1, _GREEN_ITERATIONS + 1):
@@ -166,7 +169,7 @@ def _inverse_iteration(view: MeanFieldView, half, rho, inv, phi):
             rho * phi, half, reverse=True) * inv, half) / view.x0**2
         # next to phi(0) = 0 the ratio is one of two tiny numbers; such
         # nodes are left out so that they cannot hold the bracket open
-        # (g peaks at 1, and so does every iterate)
+        # (g peaks at 1, and so does every iterate and, nearly, a warm start)
         keep = phi > floor
         ratio = psi[keep] / phi[keep]
         bracket = (float(1.0 / ratio.max()), float(1.0 / ratio.min()))
@@ -181,7 +184,7 @@ def _inverse_iteration(view: MeanFieldView, half, rho, inv, phi):
         if settled:
             break
         phi = psi / top
-    return value, bracket, iteration, settled
+    return value, bracket, iteration, settled, psi / top
 
 
 def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
@@ -190,24 +193,29 @@ def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
     phi(0) = 0 and the flux rho phi' vanishes at view.domain_halfwidth.
     Inverse iteration applies the Green's operator
     (K phi)(x) = x0^-2 integral_0^x ds/rho(s) integral_s^L rho phi dy
-    from the localization function g on P panels of 16 Gauss-Legendre
-    nodes.  K has a positive kernel, so for positive phi the
-    Collatz-Wielandt bracket 1/max(K phi/phi) <= lambda <= 1/min(K phi/phi)
-    holds.  Iteration stops when that bracket, over nodes with phi above
-    sqrt(eps) max phi, is narrower than numerics.REL_TOL relative, or
-    after 50 iterations.  P doubles from 32 along
-    `localization.discretizations` until the result is converged (see
-    GreenSplittingResult); otherwise the one at 4096 panels comes back
-    with converged=False.
+    on P panels of 16 Gauss-Legendre nodes, the first P from the localization
+    function g, each later P from max(g + numerics.bisect(phi - g), 0) with
+    phi the last iterate at P/2.  K has a positive kernel, so for positive
+    phi the Collatz-Wielandt bracket
+    1/max(K phi/phi) <= lambda <= 1/min(K phi/phi) holds.  Iteration stops
+    when that bracket, over nodes with phi above sqrt(eps) max phi, is
+    narrower than numerics.REL_TOL relative, or after 50 iterations.  P
+    doubles from 32 along `localization.discretizations` until the result
+    is converged (see GreenSplittingResult); otherwise the one at 4096
+    panels comes back with converged=False.
 
     Raises
     ------
     NumericsError
         If rho_eq underflows on the nodes, so that 1/rho_eq is not finite.
     """
-    last = None
-    for *arrays, estimate, settled in localization.discretizations(view):
-        value, bracket, iterations, closed = _inverse_iteration(view, *arrays)
+    last, correction = None, None
+    for *arrays, g, estimate, settled in localization.discretizations(view):
+        start = g if correction is None else np.maximum(
+            g + numerics.bisect(correction), 0.0)
+        value, bracket, iterations, closed, phi = _inverse_iteration(
+            view, *arrays, start)
+        correction = phi - g
         converged = (closed and settled and last is not None and last[1]
                      and abs(value - last[0]) <= numerics.REL_TOL * value)
         if converged:

@@ -7,7 +7,8 @@ analytic, so the panel sums converge geometrically in P.
 `running_integral` is the rule's cumulative form, used by the density
 discretization that `localization` and `exact` share: the integral up to
 or beyond each node, from the degree-15 interpolant within a panel
-(Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels.
+(Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels; `bisect`
+carries node values to the halved panels through the same interpolant.
 Besides the rule there is a bracketed root finder (Illinois false
 position).
 """
@@ -32,12 +33,17 @@ class RootBracketError(NumericsError):
     """Root finding failed: the bracket does not change sign."""
 
 
-# _F[i, j] weighs f(t_j) in the integral from -1 to t_i of the degree-15
-# Legendre interpolant of f on t = NODES; _REVERSE is its mirror image, from
-# t_i to 1.  The last column of _FORWARD and _REVERSE is the whole panel.
+# _LEGENDRE maps f(NODES) to the Legendre coefficients of its degree-15
+# interpolant.  _F[i, j] weighs f(t_j) in the integral from -1 to t_i of it;
+# _REVERSE is its mirror image, from t_i to 1.  The last column of _FORWARD
+# and _REVERSE is the whole panel.  _BISECT evaluates it on the NODES of
+# [-1, 0] and [0, 1].
+_LEGENDRE = ((np.arange(16) + 0.5)[:, None] * legendre.legvander(NODES, 15).T
+             * WEIGHTS)
 _F = (legendre.legvander(NODES, 16) @ legendre.legint(np.eye(16), lbnd=-1.0)
-      @ ((np.arange(16) + 0.5)[:, None] * legendre.legvander(NODES, 15).T
-         * WEIGHTS))
+      @ _LEGENDRE)
+_BISECT = legendre.legvander(np.concatenate([NODES - 1.0, NODES + 1.0]) / 2.0,
+                             15) @ _LEGENDRE
 _FORWARD = np.column_stack([_F.T, WEIGHTS])
 _REVERSE = np.column_stack([_F[::-1, ::-1].T, WEIGHTS])
 
@@ -56,6 +62,12 @@ def running_integral(f, half, reverse=False):
     whole = part[::-1, -1] if reverse else part[:, -1]
     before = np.concatenate([[0.0], np.cumsum(whole[:-1])])
     return part[:, :-1] + (before[::-1] if reverse else before)[:, None]
+
+
+def bisect(f):
+    """Values on the NODES of P panels, shape (P, 16), carried to the 2P
+    halves of those panels, left half first, by the degree-15 interpolant."""
+    return (f @ _BISECT.T).reshape(-1, 16)
 
 
 def integrate_panels(f: Callable, a: float, b: float) -> float:

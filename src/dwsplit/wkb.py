@@ -108,7 +108,7 @@ def wkb_splitting(
     if not curvature_min > 0:
         raise WkbInapplicableError(f"curvature_min = {curvature_min:.6g}: "
                                    f"x_min is not a minimum of deltaV")
-    if x_min <= 0:
+    if not x_min > 0:
         raise ValueError(f"x_min must be positive, got {x_min}")
 
     omega = math.sqrt(2.0 * curvature_min)

@@ -198,6 +198,37 @@ class TestGreenSplitting:
         # application of K closes the bracket
         assert exact.green_splitting(self.view(du)).iterations == 1
 
+    def test_warm_start_needs_one_iteration_on_default_rows(
+            self, default_sweeps):
+        # each doubling starts from g plus the bisected correction of the
+        # coarser panels; from g alone the final count took 3-14 here
+        rows = [row for _, rows, _ in default_sweeps.values() for row in rows]
+        assert len(rows) == 90
+        for row in rows:
+            assert "exact" in row.splittings, row.swept_value
+            assert row.diagnostics["iterations"] == 1, row.swept_value
+
+    def test_warm_start_keeps_the_cold_start_values(self, default_sweeps,
+                                                    monkeypatch):
+        views = [models.meanfield_view(models.TwoGaussianModel(
+                     sigma=row.sigma, alpha=row.alpha, x0=row.x0,
+                     allow_out_of_range=True))
+                 for _, rows, _ in default_sweeps.values() for row in rows]
+        views += [models.meanfield_view(models.QuarticMeanFieldModel(du=du))
+                  for du in (3.0, 185.0, 659.0)]
+        warm = [exact.green_splitting(view) for view in views]
+        # a zero correction starts every panel count from g
+        monkeypatch.setattr(numerics, "bisect",
+                            lambda f: np.zeros((2 * len(f), 16)))
+        cold = [exact.green_splitting(view) for view in views]
+        assert (sum(r.iterations for r in warm)
+                < sum(r.iterations for r in cold))
+        for w, c in zip(warm, cold):
+            assert w.converged == c.converged
+            assert w.n_panels == c.n_panels
+            assert w.localization == c.localization
+            assert abs(w.splitting - c.splitting) <= 4e-15 * c.splitting
+
     def test_quartic_against_grid_solver(self):
         model = models.QuarticMeanFieldModel(du=3.0)
         ref = fd_lowest(lambda x: models.quartic_quantum_potential(model, x))

@@ -1,4 +1,4 @@
-"""Kernel-level checks: quadrature, running integrals, root finding."""
+"""Kernel-level checks: quadrature, running integrals, bisection, roots."""
 
 import math
 
@@ -93,6 +93,45 @@ class TestRunningIntegral:
         difference = total - numerics.running_integral(f, half)[tail]
         # the total less the forward integral is 0 or a few ulps of 0.886
         assert np.abs(difference / exact - 1.0).min() > 0.5
+
+
+def piecewise(edges, degree, seed):
+    """Half-widths, pieces and node values of a random polynomial of the
+    given degree on each panel between edges, scaled to its panel."""
+    rng = np.random.default_rng(seed)
+    x, half = panels(edges)
+    pieces = [np.polynomial.Polynomial(rng.standard_normal(degree + 1),
+                                       domain=[a, b])
+              for a, b in zip(edges[:-1], edges[1:])]
+    return half, pieces, np.array([p(row) for p, row in zip(pieces, x)])
+
+
+class TestBisect:
+    """bisect: panel values carried to the nodes of the halved panels."""
+
+    edges = [-1.0, -0.2, 0.5, 1.3, 1.4]
+
+    def test_piecewise_polynomials_exact(self):
+        _, pieces, f = piecewise(self.edges, 15, seed=5)
+        edges = np.array(self.edges)
+        fine, _ = panels(np.sort(np.concatenate(
+            [edges, 0.5 * (edges[:-1] + edges[1:])])))
+        expected = np.array([pieces[k // 2](row)
+                             for k, row in enumerate(fine)])
+        assert np.abs(numerics.bisect(f) - expected).max() <= (
+            1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_running_integral_is_kept(self, reverse):
+        # below degree 15 the running integral is itself of degree <= 15
+        # on each panel, so bisecting commutes with it
+        half, _, f = piecewise(self.edges, 14, seed=7)
+        coarse = numerics.running_integral(f, half, reverse=reverse)
+        fine = numerics.running_integral(
+            numerics.bisect(f), np.repeat(half / 2.0, 2, axis=0),
+            reverse=reverse)
+        assert np.abs(fine - numerics.bisect(coarse)).max() <= (
+            1e-13 * np.abs(coarse).max())
 
 
 class TestFindRootBracketed:

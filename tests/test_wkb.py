@@ -107,6 +107,9 @@ class TestApplicabilityLimits:
             wkb.wkb_splitting(dv, -8.0, 1.0)
         with pytest.raises(ValueError, match="x_min"):
             wkb.wkb_splitting(dv, 8.0, -1.0)
+        # a NaN passes x_min <= 0 and used to reach the turning-point bracket
+        with pytest.raises(ValueError, match="x_min must be positive"):
+            wkb.wkb_splitting(dv, 8.0, math.nan)
 
 
 class TestUnderflow:
