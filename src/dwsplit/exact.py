@@ -8,9 +8,10 @@ eigenvalue in the odd sector is the splitting.  Its inverse K is the
 flux-over-population double integral (Haenggi, Talkner & Borkovec, Rev.
 Mod. Phys. 62, 251, 1990).  K acts on the density discretization of the
 localization estimate: each step of `localization.discretizations` gives
-rho, 1/rho and g on the panel nodes, and both integrals are
-`numerics.running_integral`, the inner one summed from L inwards so that
-it keeps its relative accuracy in the tail.  The localization estimate is
+rho, 1/rho and g on the panel nodes.  One sweep applies both integrals
+with the panel matrices of `numerics.running_integral`, the inner one
+summed from L inwards, and adds only terms that are >= 0, so K phi keeps
+its relative accuracy in the tail.  The localization estimate is
 the Rayleigh quotient of g, so inverse iteration from g only improves on
 it; the one pass returns both.  Later panel counts start from g plus the
 coarser count's correction (nested iteration, Brandt, Math. Comp. 31,
@@ -162,27 +163,41 @@ class GreenSplittingResult:
 
 def _inverse_iteration(view: MeanFieldView, half, rho, inv, phi):
     """(value, bracket, iterations, settled, next phi) of K from phi."""
+    rho_half, inv_half = half * rho, half * inv / view.x0**2
     rho_w = half * numerics.WEIGHTS * rho
+    # K phi in one sweep: the inner integral is t, the rest of the node's
+    # panel, plus a, the whole panels beyond summed from L inwards; the
+    # outer one is u, the running integral of t/rho, plus a times c, that
+    # of 1/rho, plus b, the whole panels before.  No term is negative.
+    c = inv_half @ numerics.FORWARD
+    a, b = np.zeros(len(half)), np.zeros(len(half))
     floor = np.sqrt(np.finfo(float).eps)
     for iteration in range(1, _GREEN_ITERATIONS + 1):
-        psi = numerics.running_integral(numerics.running_integral(
-            rho * phi, half, reverse=True) * inv, half) / view.x0**2
+        t = (rho_half * phi) @ numerics.REVERSE
+        np.cumsum(t[:0:-1, -1], out=a[-2::-1])
+        u = (inv_half * t[:, :-1]) @ numerics.FORWARD + a[:, None] * c
+        np.cumsum(u[:-1, -1], out=b[1:])
+        psi = u[:, :-1] + b[:, None]
         # next to phi(0) = 0 the ratio is one of two tiny numbers; such
         # nodes are left out so that they cannot hold the bracket open
         # (g peaks at 1, and so does every iterate and, nearly, a warm start)
         keep = phi > floor
         ratio = psi[keep] / phi[keep]
         bracket = (float(1.0 / ratio.max()), float(1.0 / ratio.min()))
-        # rho psi^2 overflows once 1/rho passes ~e^355 (dU of about 370);
-        # scaling by a power of two changes no rounding of the quotient
         top = psi.max()
-        weighted = rho_w * psi * 2.0 ** -math.frexp(top)[1]
-        value = float(np.vdot(weighted, phi) / np.vdot(weighted, psi))
-        # the quotient can round a few ulps past the rounded bracket ends
-        value = min(max(value, bracket[0]), bracket[1])
-        settled = bracket[1] - bracket[0] <= numerics.REL_TOL * value
-        if settled:
-            break
+        # the quotient lies at or below the upper end, so a wider bracket
+        # cannot settle and its quotient would never be returned
+        if (bracket[1] - bracket[0] <= numerics.REL_TOL * bracket[1]
+                or iteration == _GREEN_ITERATIONS):
+            # rho psi^2 overflows once 1/rho passes ~e^355 (dU of about
+            # 370); scaling by a power of two changes no rounding
+            weighted = rho_w * psi * 2.0 ** -math.frexp(top)[1]
+            value = float(np.vdot(weighted, phi) / np.vdot(weighted, psi))
+            # the quotient can round a few ulps past the rounded bracket ends
+            value = min(max(value, bracket[0]), bracket[1])
+            settled = bracket[1] - bracket[0] <= numerics.REL_TOL * value
+            if settled:
+                break
         phi = psi / top
     return value, bracket, iteration, settled, psi / top
 

@@ -58,12 +58,13 @@ def discretize(view: MeanFieldView, panels: int):
 
     P/2 equal panels cover [0, x_m] and P/2 [x_m, domain_halfwidth].  half
     holds their half-widths, shape (P, 1); rho, inv and g hold rho_eq,
-    1/rho_eq and g on the 16 NODES of each panel, shape (P, 16).  I sums
-    the first P/2 panels whole; g = min(C/I, 1) with C the running
-    integral of 1/rho_eq, and g = 1 on every node of [x_m, L].  estimate
-    is the LocalizationResult from I and <g|rho_eq|g>.  Raises
-    NumericsError if 1/rho_eq is not finite on the nodes (rho_eq
-    underflows): the one underflow check of the density.
+    1/rho_eq and g on the 16 NODES of each panel, shape (P, 16), rho_eq
+    being view.rho_eq over its panel sum on [-L, L].  I sums the first P/2
+    panels whole; g = min(C/I, 1) with C the running integral of 1/rho_eq,
+    and g = 1 on every node of [x_m, L].  estimate is the
+    LocalizationResult from I and <g|rho_eq|g>.  Raises NumericsError if
+    1/rho_eq is not finite on the nodes (rho_eq underflows): the one
+    underflow check of the density.
     """
     edges = np.concatenate([
         np.linspace(0.0, view.x_m, panels // 2 + 1),
@@ -71,6 +72,7 @@ def discretize(view: MeanFieldView, panels: int):
     half = 0.5 * np.diff(edges)[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rho = view.rho_eq(edges[:-1, None] + half * (1.0 + NODES))
+        rho = rho / (2.0 * float(half[:, 0] @ (rho @ WEIGHTS)))
         inv = 1.0 / rho
     if not np.all(np.isfinite(inv)):
         raise numerics.NumericsError(

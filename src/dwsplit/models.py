@@ -13,8 +13,8 @@ potential from the density alone,
 
 the shifted potential whose Schroedinger operator has rho_eq^(1/2) as its
 exact nodeless ground state at eigenvalue zero.  Each family states
-deltaV in closed form once; ``MeanFieldView`` carries only the density and
-its scales, which is all the localization estimate reads.
+deltaV in closed form once; ``MeanFieldView`` carries only the density (up
+to a factor) and its scales, which is all the localization estimate reads.
 
 Two families are provided:
 
@@ -158,10 +158,11 @@ ModelLike = Union[TwoGaussianModel, QuarticMeanFieldModel]
 class MeanFieldView:
     """One model's equilibrium density and the scales read with it.
 
-    rho_eq must be normalized to unit integral.  x0 is the reduced length
-    unit; x_m is the matching point used by localization (the density
-    maximum, equal to x0 for both families here); domain_halfwidth bounds
-    the region carrying all but negligible density mass.
+    rho_eq is proportional to the density (`localization.discretize`
+    normalizes it).  x0 is the reduced length unit; x_m is the matching
+    point used by localization (the density maximum, equal to x0 for both
+    families here); domain_halfwidth bounds the region carrying all but
+    negligible density mass.
     """
 
     rho_eq: Callable
@@ -427,7 +428,7 @@ def quartic_barrier_heights(model: QuarticMeanFieldModel) -> BarrierHeights:
 def two_gaussian_meanfield(model: TwoGaussianModel) -> MeanFieldView:
     """Mean-field view of a two-Gaussian model."""
     return MeanFieldView(
-        rho_eq=lambda x: rho_eq(model, x),
+        rho_eq=lambda x: np.exp(-meanfield_potential(model, x)),
         x0=model.x0,
         x_m=model.x0,
         domain_halfwidth=model.x0 + 10.0 * model.sigma,
@@ -436,16 +437,11 @@ def two_gaussian_meanfield(model: TwoGaussianModel) -> MeanFieldView:
 
 
 def quartic_meanfield(model: QuarticMeanFieldModel) -> MeanFieldView:
-    """Mean-field view of the quartic model; density normalized numerically."""
+    """Mean-field view of the quartic model."""
     # e^{-U} drops below e^{-80} past this point
     halfwidth = model.x0 * math.sqrt(1.0 + math.sqrt(80.0 / model.du))
-
-    def weight(x):
-        return np.exp(-quartic_potential(model, x))
-
-    z = numerics.integrate_panels(weight, -halfwidth, halfwidth)
     return MeanFieldView(
-        rho_eq=lambda x: _scalar_or_array(x, weight(x) / z),
+        rho_eq=lambda x: np.exp(-quartic_potential(model, x)),
         x0=model.x0,
         x_m=model.x0,
         domain_halfwidth=halfwidth,

@@ -9,8 +9,8 @@ discretization that `localization` and `exact` share: the integral up to
 or beyond each node, from the degree-15 interpolant within a panel
 (Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels; `bisect`
 carries node values to the halved panels through the same interpolant.
-Besides the rule there is a bracketed root finder (Illinois false
-position).
+Besides the rule there is a bracketed root finder (Anderson-Bjorck
+false position).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class RootBracketError(NumericsError):
 
 # _LEGENDRE maps f(NODES) to the Legendre coefficients of its degree-15
 # interpolant.  _F[i, j] weighs f(t_j) in the integral from -1 to t_i of it;
-# _REVERSE is its mirror image, from t_i to 1.  The last column of _FORWARD
-# and _REVERSE is the whole panel.  _BISECT evaluates it on the NODES of
+# REVERSE is its mirror image, from t_i to 1.  The last column of FORWARD
+# and REVERSE is the whole panel.  _BISECT evaluates it on the NODES of
 # [-1, 0] and [0, 1].
 _LEGENDRE = ((np.arange(16) + 0.5)[:, None] * legendre.legvander(NODES, 15).T
              * WEIGHTS)
@@ -44,8 +44,8 @@ _F = (legendre.legvander(NODES, 16) @ legendre.legint(np.eye(16), lbnd=-1.0)
       @ _LEGENDRE)
 _BISECT = legendre.legvander(np.concatenate([NODES - 1.0, NODES + 1.0]) / 2.0,
                              15) @ _LEGENDRE
-_FORWARD = np.column_stack([_F.T, WEIGHTS])
-_REVERSE = np.column_stack([_F[::-1, ::-1].T, WEIGHTS])
+FORWARD = np.column_stack([_F.T, WEIGHTS])
+REVERSE = np.column_stack([_F[::-1, ::-1].T, WEIGHTS])
 
 
 def running_integral(f, half, reverse=False):
@@ -58,7 +58,7 @@ def running_integral(f, half, reverse=False):
     towards it keeps its relative accuracy.  Exact for a polynomial of
     degree <= 15 on each panel.
     """
-    part = half * (f @ (_REVERSE if reverse else _FORWARD))
+    part = half * (f @ (REVERSE if reverse else FORWARD))
     whole = part[::-1, -1] if reverse else part[:, -1]
     before = np.concatenate([[0.0], np.cumsum(whole[:-1])])
     return part[:, :-1] + (before[::-1] if reverse else before)[:, None]
@@ -106,14 +106,15 @@ def find_root_bracketed(
 ) -> float:
     """Locate the root of f inside a sign-changing bracket [lo, hi].
 
-    Illinois false position: the secant through the bracket ends, with the
-    kept end's value halved whenever the same end is kept twice in a row.
-    A step bisects instead when the last two steps did not halve the
-    bracket, so the bracket at least halves every three steps.  Each new
-    point stays tol/2 inside the bracket, so an end that has reached the
-    root pulls the other end across it.  Stops once the bracket is
-    narrower than tol plus a few ulps and returns the newest end.  The
-    bracket must satisfy f(lo) * f(hi) <= 0.
+    Anderson-Bjorck false position (BIT 13, 253, 1973): the secant through
+    the bracket ends, with the kept end's value scaled by
+    m = 1 - f(new)/f(replaced), or by 1/2 if m <= 0, whenever the same end
+    is kept twice in a row.  A step bisects instead when the last three
+    steps did not halve the bracket, so the bracket at least halves every
+    four steps.  Each new point stays tol/2 inside the bracket, so an end
+    that has reached the root pulls the other end across it.  Stops once
+    the bracket is narrower than tol plus a few ulps and returns the end
+    where |f| is smaller.  The bracket must satisfy f(lo) * f(hi) <= 0.
 
     Raises
     ------
@@ -136,7 +137,8 @@ def find_root_bracketed(
             f"no sign change on bracket [{lo}, {hi}]: "
             f"f(lo)={f_lo:.6e}, f(hi)={f_hi:.6e}"
         )
-    x, kept, widths = lo, 0, (np.inf, np.inf)
+    # the secant reads s_lo and s_hi: f at the ends, the kept one scaled
+    x, kept, widths, s_lo, s_hi = lo, 0, (np.inf,) * 3, f_lo, f_hi
     while True:
         # each new value becomes f_lo or f_hi; a NaN would never narrow
         # the bracket
@@ -145,23 +147,21 @@ def find_root_bracketed(
                                 f"f(lo)={f_lo}, f(hi)={f_hi}")
         step = 0.5 * tol + 2.0 * np.finfo(float).eps * abs(x)
         if hi - lo <= 2.0 * step:
-            return float(x)
+            return float(lo if abs(f_lo) < abs(f_hi) else hi)
         if hi - lo > 0.5 * widths[0]:
             x = 0.5 * (lo + hi)
         else:
-            x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + step),
+            x = min(max(hi - s_hi * (hi - lo) / (s_hi - s_lo), lo + step),
                     hi - step)
-        widths = (widths[1], hi - lo)
+        widths = (*widths[1:], hi - lo)
         fx = f(x)
         if fx == 0.0:
             return float(x)
         if np.sign(fx) == np.sign(f_hi):
-            hi, f_hi = x, fx
             if kept == 1:
-                f_lo *= 0.5
-            kept = 1
+                s_lo *= max(1.0 - fx / f_hi, 0.0) or 0.5
+            hi, f_hi, s_hi, kept = x, fx, fx, 1
         else:
-            lo, f_lo = x, fx
             if kept == -1:
-                f_hi *= 0.5
-            kept = -1
+                s_hi *= max(1.0 - fx / f_lo, 0.0) or 0.5
+            lo, f_lo, s_lo, kept = x, fx, fx, -1

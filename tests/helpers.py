@@ -42,11 +42,13 @@ def trapezoid_localization(view, n: int = 1_000_001):
     """Dense-grid evaluation of the integral splitting bound.
 
     Mirrors the defining integrals with trapezoid sums on [0, L]:
+    rho is view.rho_eq normalized to unit integral over [-L, L],
     I = int_0^{x_m} 1/rho, g = min(C(x)/I, 1) with C the running
     inverse-density integral, norm = <g|rho|g> over the full axis.
     """
     x = np.linspace(0.0, view.domain_halfwidth, n)
     rho = view.rho_eq(x)
+    rho = rho / (2.0 * float(np.trapezoid(rho, x)))
     inv = 1.0 / rho
     h = x[1] - x[0]
     cum = np.concatenate([[0.0], np.cumsum((inv[1:] + inv[:-1]) * 0.5 * h)])

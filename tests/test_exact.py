@@ -229,6 +229,28 @@ class TestGreenSplitting:
             assert w.localization == c.localization
             assert abs(w.splitting - c.splitting) <= 4e-15 * c.splitting
 
+    def test_one_sweep_applies_the_two_running_integrals(
+            self, default_sweeps, monkeypatch):
+        # K phi from one sweep of the panels equals the two running
+        # integrals of its definition to 1e-14 on every node, also at
+        # quartic du = 300, where 1/rho spans ~e^300
+        views = [models.meanfield_view(models.TwoGaussianModel(
+                     sigma=row.sigma, alpha=row.alpha, x0=row.x0,
+                     allow_out_of_range=True))
+                 for _, rows, _ in default_sweeps.values() for row in rows]
+        views.append(models.meanfield_view(
+            models.QuarticMeanFieldModel(du=300.0)))
+        monkeypatch.setattr(exact, "_GREEN_ITERATIONS", 1)
+        for view in views:
+            for panels in (32, 64, 128):
+                half, rho, inv, g, _ = localization.discretize(view, panels)
+                *_, k_g = exact._inverse_iteration(view, half, rho, inv, g)
+                expected = numerics.running_integral(numerics.running_integral(
+                    rho * g, half, reverse=True) * inv, half) / view.x0**2
+                expected /= expected.max()
+                assert np.all(np.abs(k_g - expected) <= 1e-14 * expected), (
+                    view.label, panels)
+
     def test_quartic_against_grid_solver(self):
         model = models.QuarticMeanFieldModel(du=3.0)
         ref = fd_lowest(lambda x: models.quartic_quantum_potential(model, x))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dwsplit import experiments, localization, models
+from dwsplit import experiments, localization, models, numerics
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -229,6 +229,20 @@ class TestEvaluate:
             ("exact", "localization"))
         assert not row.failures
         assert set(row.splittings) == {"exact", "localization"}
+
+    @pytest.mark.parametrize("model", [
+        models.TwoGaussianModel(sigma=0.3593),
+        models.QuarticMeanFieldModel(du=3.0),
+    ], ids=["two_gaussian", "quartic"])
+    def test_rows_make_no_adaptive_integral(self, model, monkeypatch):
+        # the density is normalized on the panel nodes it is sampled on,
+        # so neither view needs a norm_constant or a z of its own
+        calls, integrate = [], numerics.integrate_panels
+        monkeypatch.setattr(numerics, "integrate_panels",
+                            lambda *args: calls.append(args) or integrate(*args))
+        row = experiments.evaluate(model, ("exact", "localization"))
+        assert set(row.splittings) == {"exact", "localization"}
+        assert calls == []
 
     def test_non_finite_splitting_is_a_failure(self, monkeypatch):
         # a zero exact value would divide by zero in rel_errors; every

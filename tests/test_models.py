@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from dwsplit import models
+from dwsplit import localization, models, numerics
 
 LN2 = math.log(2.0)
 
@@ -236,10 +236,25 @@ class TestQuartic:
             1e-6 * np.max(np.abs(closed))
 
     def test_view_density_normalized(self):
-        view = models.quartic_meanfield(models.QuarticMeanFieldModel(du=2.0))
-        total, _ = quad(view.rho_eq, -view.domain_halfwidth,
-                        view.domain_halfwidth, epsabs=1e-12, epsrel=1e-10)
-        assert total == pytest.approx(1.0, rel=1e-8)
+        # a view carries rho_eq up to a constant; discretize normalizes it
+        # on its own nodes, and agrees with the independently normalized
+        # densities of models.rho_eq and of quad
+        quartic = models.QuarticMeanFieldModel(du=2.0)
+        two_gaussian = table_model(3.0)
+        for model in (quartic, two_gaussian):
+            view = models.meanfield_view(model)
+            half, rho, *_ = localization.discretize(view, 64)
+            nodes = np.linspace(0.0, view.x_m, 33)[:-1, None] + half[:32] * (
+                1.0 + numerics.NODES)
+            assert 2.0 * np.sum(half * numerics.WEIGHTS * rho) == \
+                pytest.approx(1.0, rel=1e-14)
+            if model is quartic:
+                z, _ = quad(view.rho_eq, -view.domain_halfwidth,
+                            view.domain_halfwidth, epsabs=0.0, epsrel=1e-13)
+                reference = view.rho_eq(nodes) / z
+            else:
+                reference = models.rho_eq(model, nodes)
+            np.testing.assert_allclose(rho[:32], reference, rtol=1e-13)
 
 
 class TestMeanFieldViewDispatch:

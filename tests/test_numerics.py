@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from dwsplit import numerics
+from dwsplit import models, numerics
 
 
 class TestIntegrateAdaptive:
@@ -156,3 +157,37 @@ class TestFindRootBracketed:
         # would not end
         with pytest.raises(numerics.NumericsError, match="not finite"):
             numerics.find_root_bracketed(f, 0.0, 1.0)
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: x**15 - 0.3**15, 0.3),
+        (lambda x: -1.0 if x < 1.0 / 3.0 else 1e-20, 1.0 / 3.0),
+    ], ids=["x^15", "step"])
+    def test_bracket_halves_every_four_steps(self, f, root):
+        # false position alone crawls on both: it keeps one end and moves
+        # the other by a sliver per step, thousands of steps to 1e-12
+        calls = []
+        found = numerics.find_root_bracketed(
+            lambda x: calls.append(x) or f(x), 0.0, 1.0, tol=1e-12)
+        assert abs(found - root) <= 1e-12
+        assert len(calls) <= 2 + 4 * math.ceil(math.log2(1.0 / 1e-12))
+
+    def test_few_evaluations_on_the_barrier_width_roots(self):
+        # the half-height root of barrier_width on the default dU grid: with
+        # a bisection forced every third step it took 15.0 evaluations per
+        # root; brentq takes 11.9
+        counts = []
+        for du in np.linspace(1.0, 12.0, 40):
+            model = models.TwoGaussianModel(sigma=models.sigma_for_du(du),
+                                            allow_out_of_range=True)
+            level = (models.quantum_potential_closed(model, 0.0)
+                     - 0.5 * models.barrier_heights(model).delta_v)
+            calls = []
+            found = numerics.find_root_bracketed(
+                lambda x: calls.append(x) or (
+                    models.quantum_potential_closed(model, x) - level),
+                0.0, 1.0, tol=1e-13)
+            reference = brentq(lambda x: models.quantum_potential_closed(
+                model, x) - level, 0.0, 1.0, xtol=1e-15)
+            assert abs(found - reference) <= 1e-13
+            counts.append(len(calls))
+        assert np.mean(counts) <= 13.0
