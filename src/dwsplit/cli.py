@@ -131,6 +131,12 @@ def _round12(value):
     return value
 
 
+def _relerr(value):
+    """value rounded to 1e-12 absolute, the resolution of (v - exact)/exact
+    when both are resolved to ~1e-12 relative; -0.0 becomes 0.0."""
+    return None if value is None else round(value, 12) + 0.0
+
+
 def _sweep_row_record(row: experiments.SweepRow) -> dict:
     return {
         "swept_value": row.swept_value, "x0": row.x0, "sigma": row.sigma,
@@ -139,8 +145,8 @@ def _sweep_row_record(row: experiments.SweepRow) -> dict:
         "splitting_exact": row.splittings.get("exact"),
         "splitting_localization": row.splittings.get("localization"),
         "splitting_wkb": row.splittings.get("wkb"),
-        "relerr_localization": row.rel_errors.get("localization"),
-        "relerr_wkb": row.rel_errors.get("wkb"),
+        "relerr_localization": _relerr(row.rel_errors.get("localization")),
+        "relerr_wkb": _relerr(row.rel_errors.get("wkb")),
         "failures": "|".join(f"{k}={v}" for k, v in row.failures.items()),
     }
 
@@ -253,6 +259,8 @@ def cmd_profile(args) -> int:
         raise _usage_error("--grid START:STOP:N is required, via flag or "
                            "config file")
     start, stop, n = args.grid
+    if not np.isfinite([start, stop]).all():
+        raise _usage_error("--grid needs finite START and STOP")
     if not start < stop:
         raise _usage_error("grid start must be below stop")
     grid = np.linspace(start, stop, n)
@@ -290,6 +298,11 @@ def cmd_profile(args) -> int:
     for i, p in enumerate(profiles):
         meta[f"column.{i + 1}"] = f"{p.kind} ({p.label})"
     columns = ["x"] + [f"{p.kind}[{i + 1}]" for i, p in enumerate(profiles)]
+    for column, p in zip(columns[1:], profiles):
+        bad = ~np.isfinite(p.values)
+        if bad.any():
+            raise numerics.NumericsError(
+                f"{column} is not finite at x = {grid[bad.argmax()]:.12g}")
     records = []
     for j, x in enumerate(grid):
         rec = {"x": float(x)}

@@ -8,14 +8,14 @@ eigenvalue in the odd sector is the splitting.  Its inverse K is the
 flux-over-population double integral (Haenggi, Talkner & Borkovec, Rev.
 Mod. Phys. 62, 251, 1990).  K acts on the density discretization of the
 localization estimate: each step of `localization.discretizations` gives
-rho, 1/rho and g on the panel nodes.  One sweep applies both integrals
-with the panel matrices of `numerics.running_integral`, the inner one
-summed from L inwards, and adds only terms that are >= 0, so K phi keeps
-its relative accuracy in the tail.  The localization estimate is
-the Rayleigh quotient of g, so inverse iteration from g only improves on
-it; the one pass returns both.  Later panel counts start from g plus the
-coarser count's correction (nested iteration, Brandt, Math. Comp. 31,
-333, 1977).
+rho, 1/rho, the panel integrals of 1/rho and g on the panel nodes.  One
+sweep applies both integrals with the panel matrices `numerics.FORWARD`
+and `numerics.REVERSE`, the inner one summed from L inwards, and adds
+only terms that are >= 0, so K phi keeps its relative accuracy in the
+tail.  The localization estimate is the Rayleigh quotient of g, so
+inverse iteration from g only improves on it; the one pass returns both.
+Later panel counts start from g plus the coarser count's correction
+(nested iteration, Brandt, Math. Comp. 31, 333, 1977).
 
 ``exact_splitting(delta_v, well_location, well_curvature)`` takes a bare
 deltaV(s), for callers that have no density.  It diagonalizes
@@ -161,15 +161,15 @@ class GreenSplittingResult:
     localization: localization.LocalizationResult | None
 
 
-def _inverse_iteration(view: MeanFieldView, half, rho, inv, phi):
+def _inverse_iteration(view: MeanFieldView, half, rho, inv, part, phi):
     """(value, bracket, iterations, settled, next phi) of K from phi."""
     rho_half, inv_half = half * rho, half * inv / view.x0**2
     rho_w = half * numerics.WEIGHTS * rho
     # K phi in one sweep: the inner integral is t, the rest of the node's
     # panel, plus a, the whole panels beyond summed from L inwards; the
-    # outer one is u, the running integral of t/rho, plus a times c, that
-    # of 1/rho, plus b, the whole panels before.  No term is negative.
-    c = inv_half @ numerics.FORWARD
+    # outer one is u, the running integral of t/rho, plus a times c = part,
+    # that of 1/rho, plus b, the whole panels before.  No term is negative.
+    c = part / view.x0**2
     a, b = np.zeros(len(half)), np.zeros(len(half))
     floor = np.sqrt(np.finfo(float).eps)
     for iteration in range(1, _GREEN_ITERATIONS + 1):

@@ -18,10 +18,10 @@ The bound tightens exponentially as the wells separate.  It is the
 Rayleigh quotient of g for the operator that `exact.green_splitting`
 inverts, and g is where that iteration starts.
 
-Both read one discretization of rho_eq per panel count P (`discretize`)
-and run the same P = 32, 64, ..., 4096 (`discretizations`).  The estimate
-is read at the first P where I and <g|rho_eq|g> agree with their P/2
-values to 1e-12 relative.
+Both read one discretization of rho_eq per panel count P (`discretize`),
+the one place that integrates 1/rho_eq, and run the same P = 32, 64, ...,
+4096 (`discretizations`).  The estimate is read at the first P where I
+and <g|rho_eq|g> agree with their P/2 values to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -44,24 +44,24 @@ class LocalizationResult:
     splitting : deltaE1_g in E_u units (upper bound on the exact value).
     i_value : the inverse-density integral I over [0, x_m], in x0^2 units.
     g_norm : <g| rho_eq |g>, slightly below one for separated wells.
-    x_m : matching point used for g.
     """
 
     splitting: float
     i_value: float
     g_norm: float
-    x_m: float
 
 
 def discretize(view: MeanFieldView, panels: int):
-    """(half, rho, inv, g, estimate) on P panels.
+    """(half, rho, inv, part, g, estimate) on P panels.
 
     P/2 equal panels cover [0, x_m] and P/2 [x_m, domain_halfwidth].  half
     holds their half-widths, shape (P, 1); rho, inv and g hold rho_eq,
     1/rho_eq and g on the 16 NODES of each panel, shape (P, 16), rho_eq
-    being view.rho_eq over its panel sum on [-L, L].  I sums the first P/2
-    panels whole; g = min(C/I, 1) with C the running integral of 1/rho_eq,
-    and g = 1 on every node of [x_m, L].  estimate is the
+    being view.rho_eq over its panel sum on [-L, L].  part, the one
+    integral of 1/rho_eq, runs from each panel's left edge to each node
+    and, last, over the whole panel, shape (P, 17).  I sums the first P/2
+    panels whole; g = min(C/I, 1) with C = part plus the whole panels
+    before, and g = 1 on every node of [x_m, L].  estimate is the
     LocalizationResult from I and <g|rho_eq|g>.  Raises NumericsError if
     1/rho_eq is not finite on the nodes (rho_eq underflows): the one
     underflow check of the density.
@@ -79,15 +79,17 @@ def discretize(view: MeanFieldView, panels: int):
             f"1/rho_eq is not finite on the panel nodes: rho_eq underflows "
             f"({view.label})")
     m = panels // 2
-    i_value = float(half[:m, 0] @ (inv[:m] @ WEIGHTS))
+    part = half * (inv @ numerics.FORWARD)
+    ends = np.cumsum(part[:m, -1])  # from 0 to each panel's right edge
+    i_value = float(ends[-1])
     g = np.ones_like(inv)
-    g[:m] = np.minimum(numerics.running_integral(inv[:m], half[:m]) / i_value,
-                       1.0)
+    g[:m] = np.minimum(
+        (part[:m, :-1] + np.append(0.0, ends[:-1])[:, None]) / i_value, 1.0)
     # the integrand is even: double the half-line sum
     g_norm = 2.0 * float(np.sum(half * WEIGHTS * g * g * rho))
-    return half, rho, inv, g, LocalizationResult(
+    return half, rho, inv, part, g, LocalizationResult(
         splitting=2.0 * view.x0**2 / (i_value * g_norm), i_value=i_value,
-        g_norm=g_norm, x_m=view.x_m)
+        g_norm=g_norm)
 
 
 def discretizations(view: MeanFieldView):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -63,9 +62,9 @@ def _sech2(u: np.ndarray) -> np.ndarray:
 class TwoGaussianModel:
     """Equilibrium density built from two displaced Gaussians.
 
-    rho_eq(x) = N / sqrt(8 pi sigma^2) *
-                [exp(-(x-x0)^2 / (2 alpha sigma^2)) +
+    rho_eq(x) = [exp(-(x-x0)^2 / (2 alpha sigma^2)) +
                  exp(-(x+x0)^2 / (2 alpha sigma^2))]^alpha
+    up to a constant factor.
 
     Fields
     ------
@@ -123,15 +122,6 @@ class TwoGaussianModel:
                 "(curvature_at_origin >= 0)"
             )
         object.__setattr__(self, "validity_warnings", tuple(notes))
-
-    @cached_property
-    def norm_constant(self) -> float:
-        """N making the density integrate to one (close to unity in range)."""
-        halfwidth = self.x0 + 10.0 * self.sigma
-        pref = 1.0 / math.sqrt(8.0 * math.pi * self.sigma**2)
-        return 1.0 / numerics.integrate_panels(
-            lambda x: pref * np.exp(-meanfield_potential(self, x)),
-            -halfwidth, halfwidth)
 
 
 @dataclass(frozen=True)
@@ -204,12 +194,6 @@ def meanfield_potential(model: TwoGaussianModel, x):
     # alpha * ln(e^u + e^-u) via logaddexp to survive large |u|
     return _scalar_or_array(x, (xa * xa + model.x0**2) / (2.0 * s2)
                             - model.alpha * np.logaddexp(u, -u))
-
-
-def rho_eq(model: TwoGaussianModel, x):
-    """Normalized equilibrium density of the two-Gaussian model."""
-    pref = model.norm_constant / math.sqrt(8.0 * math.pi * model.sigma**2)
-    return _scalar_or_array(x, pref * np.exp(-meanfield_potential(model, x)))
 
 
 def quantum_potential_closed(model: TwoGaussianModel, x):

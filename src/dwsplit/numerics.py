@@ -4,11 +4,12 @@ One quadrature rule serves every integral in the package: a 16-point
 Gauss-Legendre rule on P panels (`integrate_panels` doubles P from 8
 until two successive sums agree to 1e-12 relative).  The integrands are
 analytic, so the panel sums converge geometrically in P.
-`running_integral` is the rule's cumulative form, used by the density
-discretization that `localization` and `exact` share: the integral up to
-or beyond each node, from the degree-15 interpolant within a panel
-(Greengard, SIAM J. Numer. Anal. 28, 1991) plus whole panels; `bisect`
-carries node values to the halved panels through the same interpolant.
+The rule's cumulative form is a pair of panel matrices, FORWARD and
+REVERSE: the integral of the degree-15 interpolant within a panel up to
+or beyond each node (Greengard, SIAM J. Numer. Anal. 28, 1991).  Added to
+whole panels, they give the running integrals of the density
+discretization that `localization` and `exact` share; `bisect` carries
+node values to the halved panels through the same interpolant.
 Besides the rule there is a bracketed root finder (Anderson-Bjorck
 false position).
 """
@@ -46,22 +47,6 @@ _BISECT = legendre.legvander(np.concatenate([NODES - 1.0, NODES + 1.0]) / 2.0,
                              15) @ _LEGENDRE
 FORWARD = np.column_stack([_F.T, WEIGHTS])
 REVERSE = np.column_stack([_F[::-1, ::-1].T, WEIGHTS])
-
-
-def running_integral(f, half, reverse=False):
-    """Integral of f from the first panel's left edge to each node.
-
-    f holds the values on the NODES of P adjoining panels, shape (P, 16),
-    and half their half-widths, shape (P, 1).  With reverse=True the
-    integral runs from each node to the last panel's right edge, and the
-    whole panels are summed from that edge inwards, so a tail that decays
-    towards it keeps its relative accuracy.  Exact for a polynomial of
-    degree <= 15 on each panel.
-    """
-    part = half * (f @ (REVERSE if reverse else FORWARD))
-    whole = part[::-1, -1] if reverse else part[:, -1]
-    before = np.concatenate([[0.0], np.cumsum(whole[:-1])])
-    return part[:, :-1] + (before[::-1] if reverse else before)[:, None]
 
 
 def bisect(f):

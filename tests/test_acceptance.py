@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from dwsplit import exact, experiments, localization, models
@@ -92,7 +93,10 @@ def test_density_square_root_is_ground_state():
         model = models.TwoGaussianModel(sigma=sigma, alpha=alpha)
         dv = lambda x: models.quantum_potential_closed(model, x)
         x, _, psi0 = fd_ground_state(dv)
-        rho = models.rho_eq(model, x)
+        density = lambda y: np.exp(-models.meanfield_potential(model, y))
+        halfwidth = model.x0 + 10.0 * model.sigma
+        z, _ = quad(density, -halfwidth, halfwidth, epsabs=0.0, epsrel=1e-13)
+        rho = density(x) / z
         mask = (np.abs(x) <= 3.0) & (rho > 1e-6)
         psi_rho = np.sqrt(rho[mask])
         dev = np.max(np.abs(psi0[mask] - psi_rho) / psi_rho)
@@ -101,7 +105,7 @@ def test_density_square_root_is_ground_state():
         # reverse route: second derivative of sqrt(rho) recovers deltaV
         xg = np.linspace(-1.5, 1.5, 801)
         h = 1e-3
-        psi = lambda y: np.sqrt(models.rho_eq(model, y))
+        psi = lambda y: np.sqrt(density(y) / z)
         lap = (-psi(xg + 2 * h) + 16 * psi(xg + h) - 30 * psi(xg)
                + 16 * psi(xg - h) - psi(xg - 2 * h)) / (12 * h * h)
         closed = models.quantum_potential_closed(model, xg)

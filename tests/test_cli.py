@@ -292,6 +292,34 @@ class TestSweep:
             assert row["sigma"] is None
             assert row["delta_v"] > row["delta_u"]
 
+    def test_relerr_below_resolution_prints_zero(self, capsys):
+        # at du = 60 and 210 the raw relative error of the bound is about
+        # -2e-16, rounding noise of two values resolved to ~1e-12
+        code, out, _ = run(capsys, "sweep", "--family", "quartic-du",
+                           "--du", "30:300:10", "--methods",
+                           "exact,localization")
+        assert code == 0
+        body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+        rows = {float(r["swept_value"]): r
+                for r in csv.DictReader(io.StringIO(body))}
+        assert rows[60.0]["relerr_localization"] == "0"
+        assert rows[210.0]["relerr_localization"] == "0"
+        assert not any(r["relerr_localization"].startswith("-")
+                       for r in rows.values())
+
+    def test_relerr_cells_are_rounded_to_1e_12(self, capsys, default_sweeps):
+        spec, expect, _ = default_sweeps["du_sweep.json"]
+        code, out, _ = run(capsys, "sweep", "--family", "simple-du", "--du",
+                           f"{spec.start}:{spec.stop}:{spec.n_points}",
+                           "--allow-out-of-range")
+        assert code == 0
+        body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+        for rec, row in zip(csv.DictReader(io.StringIO(body)), expect):
+            for method in ("localization", "wkb"):
+                cell = float(rec[f"relerr_{method}"])
+                assert abs(cell - row.rel_errors[method]) <= 5.0001e-13
+                assert cell == round(cell, 12)
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -353,6 +381,23 @@ class TestProfile:
         code, _, err = run(capsys, "profile", "--sigma", "0.3")
         assert code == 1
         assert "--grid" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--grid", "2:inf:2", "--quartic", "--du", "0.05"),
+        ("--grid", "-inf:1:3", "--sigma", "0.3"),
+    ], ids=["inf-stop", "inf-start"])
+    def test_rejects_non_finite_grid_ends(self, capsys, argv):
+        code, out, err = run(capsys, "profile", *argv)
+        assert (code, out) == (1, "")
+        assert "--grid" in err and "finite" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_curve_is_a_numerical_failure(self, capsys):
+        # the closed forms overflow at x = 1e200
+        code, out, err = run(capsys, "profile", "--sigma", "0.3",
+                             "--grid", "0:1e200:3")
+        assert (code, out) == (2, "")
+        assert "meanfield[1] is not finite at x = 5e+199" in err
 
     def test_negative_grid_start_parses(self, capsys):
         code, out, _ = run(capsys, "profile", "--sigma", "0.3593",

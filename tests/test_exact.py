@@ -5,7 +5,7 @@ import pytest
 
 from dwsplit import exact, localization, models, numerics
 
-from helpers import fd_lowest
+from helpers import fd_lowest, running_integral, trapezoid_green
 
 
 def closed_delta_v(sigma, alpha=1.0):
@@ -243,13 +243,36 @@ class TestGreenSplitting:
         monkeypatch.setattr(exact, "_GREEN_ITERATIONS", 1)
         for view in views:
             for panels in (32, 64, 128):
-                half, rho, inv, g, _ = localization.discretize(view, panels)
-                *_, k_g = exact._inverse_iteration(view, half, rho, inv, g)
-                expected = numerics.running_integral(numerics.running_integral(
+                *arrays, g, _ = localization.discretize(view, panels)
+                half, rho, inv, _ = arrays
+                *_, k_g = exact._inverse_iteration(view, *arrays, g)
+                expected = running_integral(running_integral(
                     rho * g, half, reverse=True) * inv, half) / view.x0**2
                 expected /= expected.max()
                 assert np.all(np.abs(k_g - expected) <= 1e-14 * expected), (
                     view.label, panels)
+
+    def test_against_the_trapezoid_green_oracle(self, default_sweeps):
+        # an oracle that shares no panel matrix with the package, on every
+        # sixth row of the default sweeps and up to the highest barriers
+        chosen = [models.TwoGaussianModel(
+                      sigma=row.sigma, alpha=row.alpha, x0=row.x0,
+                      allow_out_of_range=True)
+                  for _, rows, _ in default_sweeps.values()
+                  for row in rows[::6]]
+        chosen += [models.TwoGaussianModel(sigma=models.sigma_for_du(du))
+                   for du in (40.0, 100.0, 400.0, 700.0)]
+        chosen += [models.QuarticMeanFieldModel(du=du)
+                   for du in (2.0, 100.0, 659.0)]
+        for model in chosen:
+            view = models.meanfield_view(model)
+            # one Richardson step removes the trapezoid rule's h^2 error
+            reference = (4.0 * trapezoid_green(view, 40_000)
+                         - trapezoid_green(view, 20_000)) / 3.0
+            res = exact.green_splitting(view)
+            assert res.converged, view.label
+            assert res.splitting == pytest.approx(reference, rel=1e-11), (
+                view.label)
 
     def test_quartic_against_grid_solver(self):
         model = models.QuarticMeanFieldModel(du=3.0)

@@ -236,7 +236,7 @@ class TestEvaluate:
     ], ids=["two_gaussian", "quartic"])
     def test_rows_make_no_adaptive_integral(self, model, monkeypatch):
         # the density is normalized on the panel nodes it is sampled on,
-        # so neither view needs a norm_constant or a z of its own
+        # so neither view needs a normalization of its own
         calls, integrate = [], numerics.integrate_panels
         monkeypatch.setattr(numerics, "integrate_panels",
                             lambda *args: calls.append(args) or integrate(*args))

@@ -54,11 +54,6 @@ class TestIngredients:
         res = localization.splitting_localization(reference_view())
         assert 0.9 < res.g_norm < 1.0
 
-    def test_x_m_matches_view(self):
-        view = reference_view()
-        res = localization.splitting_localization(view)
-        assert res.x_m == view.x_m
-
 
 class TestLocalizationFunction:
     """g on the nodes of the panels that localization and exact share."""

@@ -38,18 +38,6 @@ class TestTwoGaussianModel:
         with pytest.raises(ValueError):
             models.TwoGaussianModel(sigma=0.3, x0=0.0)
 
-    def test_norm_constant_is_one_for_alpha_one(self):
-        # the alpha = 1 density is an exactly normalized Gaussian mixture
-        m = models.TwoGaussianModel(sigma=0.42)
-        assert m.norm_constant == pytest.approx(1.0, rel=1e-11)
-
-    def test_rho_integrates_to_one(self):
-        m = table_model(2.0)
-        total, _ = quad(lambda x: models.rho_eq(m, x),
-                        -m.x0 - 10 * m.sigma, m.x0 + 10 * m.sigma,
-                        epsabs=1e-12, epsrel=1e-10)
-        assert total == pytest.approx(1.0, rel=1e-9)
-
 
 class TestClosedForms:
     # printed reference row: alpha=1.5 -> sigma/x0=0.3247, dU=3.70,
@@ -237,8 +225,7 @@ class TestQuartic:
 
     def test_view_density_normalized(self):
         # a view carries rho_eq up to a constant; discretize normalizes it
-        # on its own nodes, and agrees with the independently normalized
-        # densities of models.rho_eq and of quad
+        # on its own nodes, and agrees with the density normalized by quad
         quartic = models.QuarticMeanFieldModel(du=2.0)
         two_gaussian = table_model(3.0)
         for model in (quartic, two_gaussian):
@@ -248,13 +235,10 @@ class TestQuartic:
                 1.0 + numerics.NODES)
             assert 2.0 * np.sum(half * numerics.WEIGHTS * rho) == \
                 pytest.approx(1.0, rel=1e-14)
-            if model is quartic:
-                z, _ = quad(view.rho_eq, -view.domain_halfwidth,
-                            view.domain_halfwidth, epsabs=0.0, epsrel=1e-13)
-                reference = view.rho_eq(nodes) / z
-            else:
-                reference = models.rho_eq(model, nodes)
-            np.testing.assert_allclose(rho[:32], reference, rtol=1e-13)
+            z, _ = quad(view.rho_eq, -view.domain_halfwidth,
+                        view.domain_halfwidth, epsabs=0.0, epsrel=1e-13)
+            np.testing.assert_allclose(rho[:32], view.rho_eq(nodes) / z,
+                                       rtol=1e-13)
 
 
 class TestMeanFieldViewDispatch:

@@ -8,6 +8,8 @@ from scipy.optimize import brentq
 
 from dwsplit import models, numerics
 
+from helpers import running_integral
+
 
 class TestIntegrateAdaptive:
     """integrate_panels: the panel count doubles until two sums agree."""
@@ -58,7 +60,7 @@ def panels(edges):
 
 
 class TestRunningIntegral:
-    """running_integral: the panel rule's cumulative form."""
+    """running_integral: the cumulative form of FORWARD and REVERSE."""
 
     def test_piecewise_polynomials_exact(self):
         # a different degree-15 polynomial on each of three unequal panels
@@ -75,9 +77,9 @@ class TestRunningIntegral:
                                 zip(pieces, x, edges[:-1]))])
         reverse = sum(whole) - forward
         scale = np.abs(forward).max()
-        assert np.abs(numerics.running_integral(f, half)
+        assert np.abs(running_integral(f, half)
                       - forward).max() <= 1e-14 * scale
-        assert np.abs(numerics.running_integral(f, half, reverse=True)
+        assert np.abs(running_integral(f, half, reverse=True)
                       - reverse).max() <= 1e-14 * scale
 
     def test_reverse_keeps_a_decaying_tail(self):
@@ -88,10 +90,10 @@ class TestRunningIntegral:
         tail = x >= 6.0
         exact = 0.5 * math.sqrt(math.pi) * np.array(
             [math.erfc(t) - math.erfc(8.0) for t in x[tail]])
-        reverse = numerics.running_integral(f, half, reverse=True)[tail]
+        reverse = running_integral(f, half, reverse=True)[tail]
         assert np.abs(reverse / exact - 1.0).max() <= 1e-12
-        total = numerics.running_integral(f, half)[-1, -1] + reverse[-1]
-        difference = total - numerics.running_integral(f, half)[tail]
+        total = running_integral(f, half)[-1, -1] + reverse[-1]
+        difference = total - running_integral(f, half)[tail]
         # the total less the forward integral is 0 or a few ulps of 0.886
         assert np.abs(difference / exact - 1.0).min() > 0.5
 
@@ -127,8 +129,8 @@ class TestBisect:
         # below degree 15 the running integral is itself of degree <= 15
         # on each panel, so bisecting commutes with it
         half, _, f = piecewise(self.edges, 14, seed=7)
-        coarse = numerics.running_integral(f, half, reverse=reverse)
-        fine = numerics.running_integral(
+        coarse = running_integral(f, half, reverse=reverse)
+        fine = running_integral(
             numerics.bisect(f), np.repeat(half / 2.0, 2, axis=0),
             reverse=reverse)
         assert np.abs(fine - numerics.bisect(coarse)).max() <= (
