@@ -246,8 +246,7 @@ def cmd_table1(args) -> int:
         print(experiments.table1(args.dv))
         return 0
     rows = experiments.table1_rows(args.dv)
-    columns = ("alpha", "sigma_over_x0", "delta_u", "curvature_origin",
-               "curvature_minima", "width_over_x0")
+    columns = [f.name for f in dataclasses.fields(experiments.Table1Row)]
     records = [dataclasses.asdict(r) for r in rows]
     meta = _base_meta("table1", delta_v=args.dv)
     _emit(args, columns, records, meta)
@@ -275,24 +274,26 @@ def cmd_profile(args) -> int:
     else:
         mode = "--sigma"
     _check_mode(args, _PROFILE_MODES, mode)
-    if args.family == "quartic-family":
-        profiles = experiments.quartic_family_profiles(args.du_list, grid)
-    elif args.family == "shape":
-        profiles = experiments.shape_family_profiles(
-            args.sigma_list, grid, alpha=alpha,
-            allow_out_of_range=args.allow_out_of_range)
-    elif args.family == "fixed-dv":
-        profiles = experiments.fixed_dv_family_profiles(
-            args.dv, args.alpha_list, grid,
-            allow_out_of_range=args.allow_out_of_range)
-    elif args.quartic:
-        profiles = experiments.emit_profiles(
-            models.QuarticMeanFieldModel(du=args.du, x0=args.x0), grid)
-    else:
-        model = models.TwoGaussianModel(
-            sigma=args.sigma, x0=args.x0, alpha=alpha,
-            allow_out_of_range=args.allow_out_of_range)
-        profiles = experiments.emit_profiles(model, grid)
+    # a curve that overflows is named by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.family == "quartic-family":
+            profiles = experiments.quartic_family_profiles(args.du_list, grid)
+        elif args.family == "shape":
+            profiles = experiments.shape_family_profiles(
+                args.sigma_list, grid, alpha=alpha,
+                allow_out_of_range=args.allow_out_of_range)
+        elif args.family == "fixed-dv":
+            profiles = experiments.fixed_dv_family_profiles(
+                args.dv, args.alpha_list, grid,
+                allow_out_of_range=args.allow_out_of_range)
+        elif args.quartic:
+            profiles = experiments.emit_profiles(
+                models.QuarticMeanFieldModel(du=args.du, x0=args.x0), grid)
+        else:
+            model = models.TwoGaussianModel(
+                sigma=args.sigma, x0=args.x0, alpha=alpha,
+                allow_out_of_range=args.allow_out_of_range)
+            profiles = experiments.emit_profiles(model, grid)
 
     meta = _base_meta("profile", grid=f"{start:g}:{stop:g}:{n}")
     for i, p in enumerate(profiles):

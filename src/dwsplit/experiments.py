@@ -284,11 +284,10 @@ class Table1Row:
     width_over_x0: float
 
 
-def table1_rows(delta_v: float = TABLE1_DELTA_V,
-                alphas: Sequence[float] = TABLE1_ALPHAS) -> list[Table1Row]:
-    """Parameter table of the fixed-dV family, one row per alpha."""
+def table1_rows(delta_v: float = TABLE1_DELTA_V) -> list[Table1Row]:
+    """Parameter table of the fixed-dV family, one row per TABLE1_ALPHAS."""
     rows = []
-    for alpha in alphas:
+    for alpha in TABLE1_ALPHAS:
         model = models.TwoGaussianModel(
             sigma=models.sigma_for_delta_v(delta_v, alpha), alpha=alpha)
         rows.append(Table1Row(

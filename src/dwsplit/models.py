@@ -12,9 +12,11 @@ potential from the density alone,
                  = x0^2 (U'^2 / 4 - U'' / 2),
 
 the shifted potential whose Schroedinger operator has rho_eq^(1/2) as its
-exact nodeless ground state at eigenvalue zero.  Each family states
-deltaV in closed form once; ``MeanFieldView`` carries only the density (up
-to a factor) and its scales, which is all the localization estimate reads.
+exact nodeless ground state at eigenvalue zero.  Each family states U and
+deltaV in closed form once; they return numpy values (arrays for array x,
+numpy.float64 for scalar x).  ``meanfield_view`` turns any model into a
+``MeanFieldView``: the density exp(-U), up to a factor, and its scales,
+which is all the localization estimate and the Green pass read.
 
 Two families are provided:
 
@@ -43,13 +45,6 @@ from . import numerics
 # of order S = exp(-2 x0^2 / (alpha sigma^2)) and degrade there.
 SIGMA_RATIO_MAX = 0.5
 SUPERPOSITION_WARN = 1e-3
-
-
-def _scalar_or_array(x, value):
-    """Return a bare float for scalar input, the array otherwise."""
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
 
 
 def _sech2(u: np.ndarray) -> np.ndarray:
@@ -148,11 +143,11 @@ ModelLike = Union[TwoGaussianModel, QuarticMeanFieldModel]
 class MeanFieldView:
     """One model's equilibrium density and the scales read with it.
 
-    rho_eq is proportional to the density (`localization.discretize`
-    normalizes it).  x0 is the reduced length unit; x_m is the matching
-    point used by localization (the density maximum, equal to x0 for both
-    families here); domain_halfwidth bounds the region carrying all but
-    negligible density mass.
+    Built by `meanfield_view` only.  rho_eq is exp(-U), proportional to the
+    density (`localization.discretize` normalizes it).  x0 is the reduced
+    length unit; x_m is the matching point used by localization (the
+    density maximum, equal to x0 for both families here); domain_halfwidth
+    bounds the region carrying all but negligible density mass.
     """
 
     rho_eq: Callable
@@ -188,12 +183,12 @@ def meanfield_potential(model: TwoGaussianModel, x):
 
     Zero of energy sits at the density maxima up to O(S): U(+-x0) = O(S).
     """
-    xa = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     s2 = model.sigma**2
-    u = xa * model.x0 / (model.alpha * s2)
+    u = x * model.x0 / (model.alpha * s2)
     # alpha * ln(e^u + e^-u) via logaddexp to survive large |u|
-    return _scalar_or_array(x, (xa * xa + model.x0**2) / (2.0 * s2)
-                            - model.alpha * np.logaddexp(u, -u))
+    return ((x * x + model.x0**2) / (2.0 * s2)
+            - model.alpha * np.logaddexp(u, -u))
 
 
 def quantum_potential_closed(model: TwoGaussianModel, x):
@@ -207,12 +202,8 @@ def quantum_potential_closed(model: TwoGaussianModel, x):
     s2 = model.sigma**2
     r2 = model.x0**2 / s2          # (x0/sigma)^2
     u = x * model.x0 / (model.alpha * s2)
-    val = (
-        0.25 * r2 * r2 * (x / model.x0 - np.tanh(u)) ** 2
-        + 0.5 * r2 * r2 / model.alpha * _sech2(u)
-        - 0.5 * r2
-    )
-    return _scalar_or_array(x, val)
+    return (0.25 * r2 * r2 * (x / model.x0 - np.tanh(u)) ** 2
+            + 0.5 * r2 * r2 / model.alpha * _sech2(u) - 0.5 * r2)
 
 
 def barrier_heights(model: TwoGaussianModel) -> BarrierHeights:
@@ -366,7 +357,7 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
 def quartic_potential(model: QuarticMeanFieldModel, x):
     """Mean-field quartic double well U(x) = du (1 - (x/x0)^2)^2."""
     s = np.asarray(x, dtype=float) / model.x0
-    return _scalar_or_array(x, model.du * (1.0 - s * s) ** 2)
+    return model.du * (1.0 - s * s) ** 2
 
 
 def quartic_quantum_potential(model: QuarticMeanFieldModel, x):
@@ -378,8 +369,8 @@ def quartic_quantum_potential(model: QuarticMeanFieldModel, x):
     """
     s = np.asarray(x, dtype=float) / model.x0
     s2 = s * s
-    val = 4.0 * model.du**2 * s2 * (1.0 - s2) ** 2 + 2.0 * model.du * (1.0 - 3.0 * s2)
-    return _scalar_or_array(x, val)
+    return (4.0 * model.du**2 * s2 * (1.0 - s2) ** 2
+            + 2.0 * model.du * (1.0 - 3.0 * s2))
 
 
 def quartic_curvature_at_origin(model: QuarticMeanFieldModel) -> float:
@@ -409,35 +400,19 @@ def quartic_barrier_heights(model: QuarticMeanFieldModel) -> BarrierHeights:
 # mean-field views
 # ---------------------------------------------------------------------------
 
-def two_gaussian_meanfield(model: TwoGaussianModel) -> MeanFieldView:
-    """Mean-field view of a two-Gaussian model."""
-    return MeanFieldView(
-        rho_eq=lambda x: np.exp(-meanfield_potential(model, x)),
-        x0=model.x0,
-        x_m=model.x0,
-        domain_halfwidth=model.x0 + 10.0 * model.sigma,
-        label=f"two_gaussian(sigma={model.sigma:g}, alpha={model.alpha:g})",
-    )
-
-
-def quartic_meanfield(model: QuarticMeanFieldModel) -> MeanFieldView:
-    """Mean-field view of the quartic model."""
-    # e^{-U} drops below e^{-80} past this point
-    halfwidth = model.x0 * math.sqrt(1.0 + math.sqrt(80.0 / model.du))
-    return MeanFieldView(
-        rho_eq=lambda x: np.exp(-quartic_potential(model, x)),
-        x0=model.x0,
-        x_m=model.x0,
-        domain_halfwidth=halfwidth,
-        label=f"quartic(du={model.du:g})",
-    )
-
-
 def meanfield_view(model: ModelLike) -> MeanFieldView:
-    """Dispatch to the family-specific mean-field view builder."""
+    """The model's density exp(-U), its scales and a label."""
     if isinstance(model, TwoGaussianModel):
-        return two_gaussian_meanfield(model)
-    if isinstance(model, QuarticMeanFieldModel):
-        return quartic_meanfield(model)
-    raise TypeError(f"unsupported model type: {type(model).__name__}")
-
+        potential = meanfield_potential
+        halfwidth = model.x0 + 10.0 * model.sigma
+        label = f"two_gaussian(sigma={model.sigma:g}, alpha={model.alpha:g})"
+    elif isinstance(model, QuarticMeanFieldModel):
+        potential = quartic_potential
+        # e^{-U} drops below e^{-80} past this point
+        halfwidth = model.x0 * math.sqrt(1.0 + math.sqrt(80.0 / model.du))
+        label = f"quartic(du={model.du:g})"
+    else:
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    return MeanFieldView(rho_eq=lambda x: np.exp(-potential(model, x)),
+                         x0=model.x0, x_m=model.x0,
+                         domain_halfwidth=halfwidth, label=label)

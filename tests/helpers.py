@@ -113,3 +113,9 @@ def trapezoid_green(view, n: int) -> float:
             return value
         phi, last = psi, value
     raise AssertionError(f"power iteration did not settle ({view.label})")
+
+
+def richardson_green(view) -> float:
+    """trapezoid_green over n = 20,000 and 40,000 with one Richardson step."""
+    return (4.0 * trapezoid_green(view, 40_000)
+            - trapezoid_green(view, 20_000)) / 3.0

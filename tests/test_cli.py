@@ -391,13 +391,17 @@ class TestProfile:
         assert (code, out) == (1, "")
         assert "--grid" in err and "finite" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_curve_is_a_numerical_failure(self, capsys):
-        # the closed forms overflow at x = 1e200
-        code, out, err = run(capsys, "profile", "--sigma", "0.3",
-                             "--grid", "0:1e200:3")
-        assert (code, out) == (2, "")
-        assert "meanfield[1] is not finite at x = 5e+199" in err
+        # the closed forms overflow far out; numpy's overflow warnings stay
+        # silent and the one error names the column and x
+        for argv, where in [
+                (("--sigma", "0.3", "--grid", "0:1e200:3"), "5e+199"),
+                (("--grid", "0.9:1e300:3", "--quartic", "--du", "1e5"),
+                 "5e+299")]:
+            code, out, err = run(capsys, "profile", *argv)
+            assert (code, out) == (2, "")
+            assert err == ("dwsplit: numerical failure: meanfield[1] is not "
+                           f"finite at x = {where}\n")
 
     def test_negative_grid_start_parses(self, capsys):
         code, out, _ = run(capsys, "profile", "--sigma", "0.3593",

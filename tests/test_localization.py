@@ -79,7 +79,6 @@ class TestLocalizationFunction:
 
 
 class TestUnderflow:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("model", [
         models.QuarticMeanFieldModel(du=800.0),
         models.TwoGaussianModel(sigma=0.025),

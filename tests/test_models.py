@@ -213,7 +213,7 @@ class TestQuartic:
     def test_density_route_recovers_quantum_potential(self, du):
         # deltaV = x0^2 (sqrt rho)''/sqrt rho, five-point Laplacian
         model = models.QuarticMeanFieldModel(du=du)
-        rho = models.quartic_meanfield(model).rho_eq
+        rho = models.meanfield_view(model).rho_eq
         psi = lambda y: np.sqrt(rho(y))
         x = np.linspace(-1.5, 1.5, 801)
         h = 1e-3

@@ -4,9 +4,10 @@ Hypothesis draws models from the whole accepted box, far past the dU <= 12
 of the default sweeps: alpha = 1 with dU log-uniform on [0.05, 700], fixed
 dV on [2, 60] with alpha on [1, 40], and quartic dU on [0.2, 700], each at
 x0 on [0.25, 4].  Every row must come back, every exact value it admits
-must lie in the Collatz-Wielandt bracket of `exact.green_splitting` and
-below the localization bound, the splittings must not depend on x0, and
-every failure must say what went wrong.
+must lie in the Collatz-Wielandt bracket of `exact.green_splitting`,
+agree to 1e-11 with the trapezoid Green's-operator oracle of `helpers`
+and stay below the localization bound, the splittings must not depend on
+x0, and every failure must say what went wrong.
 """
 
 import math
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dwsplit import exact, experiments, models
+
+from helpers import richardson_green
 
 
 def build(family, value, alpha, x0):
@@ -49,9 +52,10 @@ def test_every_accepted_model_is_right_or_flagged(case):
     if value is not None:
         # at high barriers the bracket is a few ulps wide, and the value
         # is clamped into it
-        lower, upper = exact.green_splitting(
-            models.meanfield_view(model)).bracket
+        view = models.meanfield_view(model)
+        lower, upper = exact.green_splitting(view).bracket
         assert lower <= value <= upper
+        assert value == pytest.approx(richardson_green(view), rel=1e-11)
         bound = row.splittings.get("localization")
         assert bound is None or bound >= value * (1.0 - 1e-12)
     assert set(row.splittings) == set(twin.splittings)
