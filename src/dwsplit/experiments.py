@@ -351,18 +351,21 @@ def emit_profiles(model, grid: Iterable[float]) -> tuple[models.PotentialProfile
     return tuple(out)
 
 
+def _quantum_profiles(potential, family, grid, kind, scale, label):
+    """potential(model) / scale(model) on grid for each model of family."""
+    grid = np.asarray(list(grid), dtype=float)
+    return tuple(models.PotentialProfile(potential(m, grid) / scale(m), kind,
+                                         label(m)) for m in family)
+
+
 def quartic_family_profiles(
         du_values: Sequence[float],
         grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
     """Quantum potentials of the quartic family, scaled by dU per curve."""
-    grid = np.asarray(list(grid), dtype=float)
-    out = []
-    for du in du_values:
-        model = models.QuarticMeanFieldModel(du=du)
-        out.append(models.PotentialProfile(
-            models.quartic_quantum_potential(model, grid) / du,
-            "quantum_over_dU", f"dU={du:g}"))
-    return tuple(out)
+    return _quantum_profiles(
+        models.quartic_quantum_potential,
+        (models.QuarticMeanFieldModel(du=du) for du in du_values), grid,
+        "quantum_over_dU", lambda m: m.du, lambda m: f"dU={m.du:g}")
 
 
 def shape_family_profiles(
@@ -371,16 +374,13 @@ def shape_family_profiles(
         alpha: float = 1.0,
         allow_out_of_range: bool = False) -> tuple[models.PotentialProfile, ...]:
     """Quantum potentials at varying sigma, each scaled by its own dV."""
-    grid = np.asarray(list(grid), dtype=float)
-    out = []
-    for sigma in sigma_values:
-        model = models.TwoGaussianModel(
-            sigma=sigma, alpha=alpha, allow_out_of_range=allow_out_of_range)
-        delta_v = models.barrier_heights(model).delta_v
-        out.append(models.PotentialProfile(
-            models.quantum_potential_closed(model, grid) / delta_v,
-            "quantum_over_dV", f"sigma/x0={sigma:g}"))
-    return tuple(out)
+    return _quantum_profiles(
+        models.quantum_potential_closed,
+        (models.TwoGaussianModel(sigma=sigma, alpha=alpha,
+                                 allow_out_of_range=allow_out_of_range)
+         for sigma in sigma_values), grid, "quantum_over_dV",
+        lambda m: models.barrier_heights(m).delta_v,
+        lambda m: f"sigma/x0={m.sigma:g}")
 
 
 def fixed_dv_family_profiles(
@@ -389,13 +389,10 @@ def fixed_dv_family_profiles(
         grid: Iterable[float],
         allow_out_of_range: bool = False) -> tuple[models.PotentialProfile, ...]:
     """Quantum potentials of the fixed-dV family, one curve per alpha."""
-    grid = np.asarray(list(grid), dtype=float)
-    out = []
-    for alpha in alphas:
-        model = models.TwoGaussianModel(
-            sigma=models.sigma_for_delta_v(delta_v, alpha), alpha=alpha,
-            allow_out_of_range=allow_out_of_range)
-        out.append(models.PotentialProfile(
-            models.quantum_potential_closed(model, grid),
-            "quantum", f"alpha={alpha:g}"))
-    return tuple(out)
+    return _quantum_profiles(
+        models.quantum_potential_closed,
+        (models.TwoGaussianModel(sigma=models.sigma_for_delta_v(delta_v, alpha),
+                                 alpha=alpha,
+                                 allow_out_of_range=allow_out_of_range)
+         for alpha in alphas), grid, "quantum", lambda m: 1.0,
+        lambda m: f"alpha={m.alpha:g}")

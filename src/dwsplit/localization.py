@@ -32,7 +32,7 @@ import numpy as np
 
 from . import numerics
 from .models import MeanFieldView
-from .numerics import NODES, PANELS, REL_TOL, WEIGHTS
+from .numerics import PANELS, REL_TOL, WEIGHTS
 
 PANEL_COUNTS = [p for p in PANELS if p >= 32]  # 32, 64, ..., 4096
 
@@ -66,19 +66,18 @@ def discretize(view: MeanFieldView, panels: int):
     1/rho_eq is not finite on the nodes (rho_eq underflows): the one
     underflow check of the density.
     """
-    edges = np.concatenate([
-        np.linspace(0.0, view.x_m, panels // 2 + 1),
-        np.linspace(view.x_m, view.domain_halfwidth, panels // 2 + 1)[1:]])
-    half = 0.5 * np.diff(edges)[:, None]
+    m, outer = panels // 2, view.domain_halfwidth - view.x_m
+    unit = numerics.unit_panels(m)
+    half = np.repeat([view.x_m / panels, outer / panels], m)[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rho = view.rho_eq(edges[:-1, None] + half * (1.0 + NODES))
+        rho = view.rho_eq(np.concatenate([view.x_m * unit,
+                                          view.x_m + outer * unit]))
         rho = rho / (2.0 * float(half[:, 0] @ (rho @ WEIGHTS)))
         inv = 1.0 / rho
     if not np.all(np.isfinite(inv)):
         raise numerics.NumericsError(
             f"1/rho_eq is not finite on the panel nodes: rho_eq underflows "
             f"({view.label})")
-    m = panels // 2
     part = half * (inv @ numerics.FORWARD)
     ends = np.cumsum(part[:m, -1])  # from 0 to each panel's right edge
     i_value = float(ends[-1])

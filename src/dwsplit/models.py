@@ -13,10 +13,11 @@ potential from the density alone,
 
 the shifted potential whose Schroedinger operator has rho_eq^(1/2) as its
 exact nodeless ground state at eigenvalue zero.  Each family states U and
-deltaV in closed form once; they return numpy values (arrays for array x,
-numpy.float64 for scalar x).  ``meanfield_view`` turns any model into a
-``MeanFieldView``: the density exp(-U), up to a factor, and its scales,
-which is all the localization estimate and the Green pass read.
+deltaV in closed form once.  U returns numpy values; deltaV returns a float,
+computed on Python floats, for float x (numpy.float64 included) and an array
+otherwise.  ``meanfield_view`` turns any model into a ``MeanFieldView``: the
+density exp(-U), up to a factor, and its scales, which is all the
+localization estimate and the Green pass read.
 
 Two families are provided:
 
@@ -45,12 +46,6 @@ from . import numerics
 # of order S = exp(-2 x0^2 / (alpha sigma^2)) and degrade there.
 SIGMA_RATIO_MAX = 0.5
 SUPERPOSITION_WARN = 1e-3
-
-
-def _sech2(u: np.ndarray) -> np.ndarray:
-    # 1/cosh^2 without overflow for large |u|
-    e = np.exp(-np.abs(u))
-    return (2.0 * e / (1.0 + e * e)) ** 2
 
 
 @dataclass(frozen=True)
@@ -196,14 +191,20 @@ def quantum_potential_closed(model: TwoGaussianModel, x):
 
     deltaV/E_u = (x0^4 / 4 sigma^4) (x/x0 - tanh u)^2
                + (x0^4 / 2 alpha sigma^4) sech^2 u  -  x0^2 / 2 sigma^2,
-    with u = x x0 / (alpha sigma^2).
+    with u = x x0 / (alpha sigma^2).  deltaV is even, and with
+    t = exp(-2|u|), tanh|u| = (1 - t)/(1 + t) and sech^2 u = 4t/(1 + t)^2:
+    one exponential, which underflows to 0 where |u| is large.
     """
-    x = np.asarray(x, dtype=float)
+    scalar = isinstance(x, float)
+    a = abs(float(x)) if scalar else np.abs(np.asarray(x, dtype=float))
     s2 = model.sigma**2
     r2 = model.x0**2 / s2          # (x0/sigma)^2
-    u = x * model.x0 / (model.alpha * s2)
-    return (0.25 * r2 * r2 * (x / model.x0 - np.tanh(u)) ** 2
-            + 0.5 * r2 * r2 / model.alpha * _sech2(u) - 0.5 * r2)
+    t = (math.exp if scalar else np.exp)(-2.0 * model.x0 * a
+                                         / (model.alpha * s2))
+    d = a / model.x0 - (1.0 - t) / (1.0 + t)
+    return (0.25 * r2 * r2 * (d * d)
+            + 2.0 * r2 * r2 / model.alpha * t / ((1.0 + t) * (1.0 + t))
+            - 0.5 * r2)
 
 
 def barrier_heights(model: TwoGaussianModel) -> BarrierHeights:
@@ -367,9 +368,11 @@ def quartic_quantum_potential(model: QuarticMeanFieldModel, x):
     At the origin deltaV = 2 du; the curvature there flips sign at du = 1.5,
     beyond which a third minimum appears.
     """
-    s = np.asarray(x, dtype=float) / model.x0
+    s = (float(x) if isinstance(x, float)
+         else np.asarray(x, dtype=float)) / model.x0
     s2 = s * s
-    return (4.0 * model.du**2 * s2 * (1.0 - s2) ** 2
+    w = 1.0 - s2
+    return (4.0 * model.du**2 * s2 * (w * w)
             + 2.0 * model.du * (1.0 - 3.0 * s2))
 
 

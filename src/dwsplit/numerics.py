@@ -1,9 +1,11 @@
 """Shared double-precision numerical kernels.
 
 One quadrature rule serves every integral in the package: a 16-point
-Gauss-Legendre rule on P panels (`integrate_panels` doubles P from 8
-until two successive sums agree to 1e-12 relative).  The integrands are
-analytic, so the panel sums converge geometrically in P.
+Gauss-Legendre rule on P equal panels (`integrate_panels` doubles P from
+8 until two successive sums agree to 1e-12 relative).  The integrands are
+analytic, so the panel sums converge geometrically in P.  Every panel
+layout is `unit_panels`, the nodes of P equal panels of [0, 1], mapped
+onto its interval (by `integrate_panels` and `localization.discretize`).
 The rule's cumulative form is a pair of panel matrices, FORWARD and
 REVERSE: the integral of the degree-15 interpolant within a panel up to
 or beyond each node (Greengard, SIAM J. Numer. Anal. 28, 1991).  Added to
@@ -16,6 +18,7 @@ false position).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -24,6 +27,7 @@ from numpy.polynomial import legendre
 NODES, WEIGHTS = legendre.leggauss(16)
 PANELS = [8 << k for k in range(10)]  # 8, 16, ..., 4096
 REL_TOL = 1e-12
+_EPS = 2.0**-52  # the spacing of floats at 1
 
 
 class NumericsError(RuntimeError):
@@ -55,6 +59,11 @@ def bisect(f):
     return (f @ _BISECT.T).reshape(-1, 16)
 
 
+def unit_panels(panels: int) -> np.ndarray:
+    """NODES of P equal panels of [0, 1], shape (P, 16), half-width 1/(2P)."""
+    return (np.arange(panels)[:, None] + 0.5 * (1.0 + NODES)) / panels
+
+
 def integrate_panels(f: Callable, a: float, b: float) -> float:
     """Integral of a vectorized f over [a, b] on P equal Gauss-Legendre panels.
 
@@ -69,11 +78,9 @@ def integrate_panels(f: Callable, a: float, b: float) -> float:
     """
     last = None
     for n in PANELS:
-        edges = np.linspace(a, b, n + 1)
-        half = 0.5 * np.diff(edges)
-        nodes = (edges[:-1] + half)[:, None] + half[:, None] * NODES
-        value = float((half * (f(nodes) @ WEIGHTS)).sum())
-        if not np.isfinite(value):
+        value = (b - a) / (2 * n) * float(
+            (f(a + (b - a) * unit_panels(n)) @ WEIGHTS).sum())
+        if not math.isfinite(value):
             raise NumericsError(f"integral over [{a}, {b}] is not finite: {value}")
         if last is not None and abs(value - last) <= REL_TOL * abs(value):
             return value
@@ -117,20 +124,17 @@ def find_root_bracketed(
         return lo
     if f_hi == 0.0:
         return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise RootBracketError(
-            f"no sign change on bracket [{lo}, {hi}]: "
-            f"f(lo)={f_lo:.6e}, f(hi)={f_hi:.6e}"
-        )
+    # a NaN would show no sign change, and never narrow the bracket
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise NumericsError(f"f is not finite at an end of the bracket "
+                            f"[{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise RootBracketError(f"no sign change on bracket [{lo}, {hi}]: "
+                               f"f(lo)={f_lo:.6e}, f(hi)={f_hi:.6e}")
     # the secant reads s_lo and s_hi: f at the ends, the kept one scaled
-    x, kept, widths, s_lo, s_hi = lo, 0, (np.inf,) * 3, f_lo, f_hi
+    x, kept, widths, s_lo, s_hi = lo, 0, (math.inf,) * 3, f_lo, f_hi
     while True:
-        # each new value becomes f_lo or f_hi; a NaN would never narrow
-        # the bracket
-        if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
-            raise NumericsError(f"f is not finite on the bracket [{lo}, {hi}]: "
-                                f"f(lo)={f_lo}, f(hi)={f_hi}")
-        step = 0.5 * tol + 2.0 * np.finfo(float).eps * abs(x)
+        step = 0.5 * tol + 2.0 * _EPS * abs(x)
         if hi - lo <= 2.0 * step:
             return float(lo if abs(f_lo) < abs(f_hi) else hi)
         if hi - lo > 0.5 * widths[0]:
@@ -142,7 +146,10 @@ def find_root_bracketed(
         fx = f(x)
         if fx == 0.0:
             return float(x)
-        if np.sign(fx) == np.sign(f_hi):
+        if not math.isfinite(fx):
+            raise NumericsError(f"f is not finite on the bracket [{lo}, {hi}]: "
+                                f"f({x})={fx}")
+        if (fx > 0.0) == (f_hi > 0.0):
             if kept == 1:
                 s_lo *= max(1.0 - fx / f_hi, 0.0) or 0.5
             hi, f_hi, s_hi, kept = x, fx, fx, 1

@@ -71,12 +71,28 @@ class TestClosedForms:
             expected, rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
-        m = table_model(1.0)
-        xs = np.linspace(-1.5, 1.5, 7)
-        vec = models.quantum_potential_closed(m, xs)
-        assert vec.shape == xs.shape
-        for x, v in zip(xs, vec):
-            assert models.quantum_potential_closed(m, float(x)) == v
+        # a float runs the same expression on Python floats (math.exp), an
+        # array on numpy (np.exp).  The quartic deltaV has no exponential,
+        # and at sigma = 0.0353, |x| >= 1 exp(-2|u|) underflows to 0 on both
+        # paths, so equality is exact there too.  Elsewhere math.exp and
+        # np.exp may differ by an ulp, so no other point is added.
+        cases = [
+            (models.quantum_potential_closed, table_model(1.0),
+             np.linspace(-1.5, 1.5, 7)),
+            (models.quantum_potential_closed,
+             models.TwoGaussianModel(sigma=0.0353), [-1.5, -1.0, 1.0, 1.5]),
+            (models.quartic_quantum_potential,
+             models.QuarticMeanFieldModel(du=3.5, x0=1.3),
+             np.linspace(-2.0, 2.0, 41)),
+        ]
+        for potential, m, xs in cases:
+            xs = np.asarray(xs)
+            vec = potential(m, xs)
+            assert vec.shape == xs.shape
+            for x, v in zip(xs, vec):
+                for scalar in (potential(m, float(x)), potential(m, x)):
+                    assert type(scalar) is float
+                    assert scalar == v
 
 
 class TestBarrierWidth:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from dwsplit import models, numerics
+from dwsplit import models, numerics, wkb
 
 from helpers import running_integral
 
@@ -193,3 +193,26 @@ class TestFindRootBracketed:
             assert abs(found - reference) <= 1e-13
             counts.append(len(calls))
         assert np.mean(counts) <= 13.0
+
+    def test_few_evaluations_on_the_wkb_turning_points(self, monkeypatch):
+        # the turning-point root of wkb_splitting, the second root of every
+        # default dU row: 11.75 evaluations per root (at most 12) on the
+        # default grid
+        find, counts = numerics.find_root_bracketed, []
+
+        def counted(f, lo, hi, tol):
+            calls = []
+            found = find(lambda x: calls.append(x) or f(x), lo, hi, tol=tol)
+            assert abs(found - brentq(f, lo, hi, xtol=1e-16)) <= tol
+            counts.append(len(calls))
+            return found
+
+        monkeypatch.setattr(numerics, "find_root_bracketed", counted)
+        for du in np.linspace(1.0, 12.0, 40):
+            model = models.TwoGaussianModel(sigma=models.sigma_for_du(du),
+                                            allow_out_of_range=True)
+            wkb.wkb_splitting(
+                lambda s: models.quantum_potential_closed(model, s),
+                models.curvature_at_minima(model), 1.0)
+        assert len(counts) == 40
+        assert np.mean(counts) <= 12.5
