@@ -223,12 +223,10 @@ def cmd_sweep(args) -> int:
                            "quartic-du), via flag or config file")
     _check_mode(args, _SWEEP_MODES, f"--family {args.family}")
     family = _FAMILY_TAGS[args.family]
-    fixed = {"x0": args.x0}
-    if family == "extended_fixed_dV":
-        start, stop, n = args.alpha
-        fixed["delta_v"] = args.dv
-    else:
-        start, stop, n = args.du
+    swept, reads, _ = experiments.SWEEP_FAMILIES[family]
+    start, stop, n = getattr(args, swept)
+    fixed = {k: v for k, v in (("x0", args.x0), ("delta_v", args.dv))
+             if k in reads}
     spec = experiments.SweepSpec(
         family=family, start=start, stop=stop, n_points=n, fixed=fixed,
         methods=args.methods, allow_out_of_range=args.allow_out_of_range)
@@ -286,13 +284,11 @@ def cmd_profile(args) -> int:
             profiles = experiments.fixed_dv_family_profiles(
                 args.dv, args.alpha_list, grid,
                 allow_out_of_range=args.allow_out_of_range)
-        elif args.quartic:
-            profiles = experiments.emit_profiles(
-                models.QuarticMeanFieldModel(du=args.du, x0=args.x0), grid)
         else:
-            model = models.TwoGaussianModel(
-                sigma=args.sigma, x0=args.x0, alpha=alpha,
-                allow_out_of_range=args.allow_out_of_range)
+            model = (models.QuarticMeanFieldModel(du=args.du, x0=args.x0)
+                     if args.quartic else models.TwoGaussianModel(
+                         sigma=args.sigma, x0=args.x0, alpha=alpha,
+                         allow_out_of_range=args.allow_out_of_range))
             profiles = experiments.emit_profiles(model, grid)
 
     meta = _base_meta("profile", grid=f"{start:g}:{stop:g}:{n}")

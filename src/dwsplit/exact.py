@@ -144,8 +144,8 @@ class GreenSplittingResult:
 
     splitting : last iterate's Rayleigh quotient, in the bracket, E_u units.
     bracket : (lower, upper) Collatz-Wielandt bounds from the same iterate.
-    n_panels : panel count P of the result, P/2 on [0, x_m] and P/2 on
-        [x_m, domain_halfwidth].
+    n_panels : panel count P of the result, P/2 on [0, x0] and P/2 on
+        [x0, domain_halfwidth].
     iterations : applications of K at that panel count, started from the
         coarser count's correction (from g at the first count).
     converged : the bracket closed to REL_TOL at P and at P/2, and the

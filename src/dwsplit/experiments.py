@@ -38,7 +38,19 @@ import numpy as np
 
 from . import exact, models, numerics, wkb
 
-SWEEP_FAMILIES = ("simple_gaussian_dU", "extended_fixed_dV", "quartic_dU")
+# family -> (swept parameter, fixed keys read (x0 optional), build)
+SWEEP_FAMILIES = {
+    "simple_gaussian_dU": ("du", ("x0",), lambda v, x0, fixed, allow: (
+        models.TwoGaussianModel(sigma=models.sigma_for_du(v, x0), x0=x0,
+                                allow_out_of_range=allow))),
+    "extended_fixed_dV": ("alpha", ("x0", "delta_v"),
+                          lambda v, x0, fixed, allow: (
+        models.TwoGaussianModel(
+            sigma=models.sigma_for_delta_v(float(fixed["delta_v"]), v, x0),
+            x0=x0, alpha=v, allow_out_of_range=allow))),
+    "quartic_dU": ("du", ("x0",), lambda v, x0, fixed, allow: (
+        models.QuarticMeanFieldModel(du=v, x0=x0))),
+}
 METHODS = ("exact", "localization", "wkb")
 
 TABLE1_DELTA_V = 30.0
@@ -79,19 +91,19 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.family not in SWEEP_FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}, expected one of {SWEEP_FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}, expected one "
+                             f"of {tuple(SWEEP_FAMILIES)}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        swept = "alpha" if self.family == "extended_fixed_dV" else "du"
+        swept, reads, _ = SWEEP_FAMILIES[self.family]
         if not -math.inf < self.start < self.stop < math.inf:
             raise ValueError(f"need finite {swept} start < stop, "
                              f"got [{self.start}, {self.stop}]")
         object.__setattr__(self, "methods", canonical_methods(self.methods))
         object.__setattr__(self, "fixed", dict(self.fixed))
-        if self.family == "extended_fixed_dV" and "delta_v" not in self.fixed:
-            raise ValueError("extended_fixed_dV requires fixed['delta_v']")
-        reads = ("x0", "delta_v") if self.family == "extended_fixed_dV" else ("x0",)
+        for key in reads:
+            if key != "x0" and key not in self.fixed:
+                raise ValueError(f"{self.family} requires fixed[{key!r}]")
         unread = sorted(set(self.fixed) - set(reads))
         if unread:
             raise ValueError(f"{self.family} does not read fixed{unread}")
@@ -130,7 +142,7 @@ class SweepRow:
     diagnostics: dict[str, object]
 
 
-def evaluate(model: models.ModelLike,
+def evaluate(model: models.Model,
              methods: Sequence[str] = METHODS) -> SweepRow:
     """Every requested splitting of one model, as a row with swept_value None.
 
@@ -146,22 +158,9 @@ def evaluate(model: models.ModelLike,
     """
     methods = canonical_methods(methods)
     x0 = model.x0
-    width_failure = None
-    if isinstance(model, models.TwoGaussianModel):
-        sigma, alpha = model.sigma, model.alpha
-        heights = models.barrier_heights(model)
-        try:
-            width = models.barrier_width(model)
-        except (ValueError, numerics.NumericsError) as err:
-            width, width_failure = None, f"{type(err).__name__}: {err}"
-        overlap = models.superposition_coefficient(model)
-        dv_s = lambda s: models.quantum_potential_closed(model, x0 * s)
-        curvature = models.curvature_at_minima(model)
-    else:
-        sigma = alpha = width = overlap = None
-        dv_s = lambda s: models.quartic_quantum_potential(model, x0 * s)
-        heights = models.quartic_barrier_heights(model)
-        curvature = models.quartic_curvature_at_x0(model)
+    heights = model.barrier_heights()
+    sigma, alpha, width, overlap, width_failure = (
+        model.two_gaussian_columns() or (None,) * 5)
 
     splittings: dict[str, float] = {}
     failures: dict[str, str] = {}
@@ -184,7 +183,9 @@ def evaluate(model: models.ModelLike,
                     diagnostics.update(i_integral=res.i_value,
                                        g_norm=res.g_norm)
             else:
-                res = wkb.wkb_splitting(dv_s, curvature, 1.0)
+                res = wkb.wkb_splitting(
+                    lambda s: model.quantum_potential(x0 * s),
+                    model.curvature_at_x0(), 1.0)
                 diagnostics.update(
                     turning_points=tuple(x0 * t for t in res.turning_points),
                     action=res.action, well_frequency=res.well_frequency)
@@ -228,20 +229,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     methods produced.
     """
     x0 = float(spec.fixed.get("x0", 1.0))
+    build = SWEEP_FAMILIES[spec.family][2]
     rows: list[SweepRow] = []
-    for value in spec.swept_values():
-        value = float(value)
-        if spec.family == "quartic_dU":
-            model = models.QuarticMeanFieldModel(du=value, x0=x0)
-        elif spec.family == "simple_gaussian_dU":
-            model = models.TwoGaussianModel(
-                sigma=models.sigma_for_du(value, x0), x0=x0,
-                allow_out_of_range=spec.allow_out_of_range)
-        else:
-            model = models.TwoGaussianModel(
-                sigma=models.sigma_for_delta_v(
-                    float(spec.fixed["delta_v"]), value, x0),
-                x0=x0, alpha=value, allow_out_of_range=spec.allow_out_of_range)
+    for value in map(float, spec.swept_values()):
+        model = build(value, x0, spec.fixed, spec.allow_out_of_range)
         rows.append(replace(evaluate(model, spec.methods), swept_value=value))
     return rows
 
@@ -293,11 +284,10 @@ def table1_rows(delta_v: float = TABLE1_DELTA_V) -> list[Table1Row]:
         rows.append(Table1Row(
             alpha=alpha,
             sigma_over_x0=model.sigma / model.x0,
-            delta_u=models.barrier_heights(model).delta_u,
-            curvature_origin=models.curvature_at_origin(model),
-            curvature_minima=models.curvature_at_minima(model),
-            width_over_x0=models.barrier_width(model) / model.x0,
-        ))
+            delta_u=model.barrier_heights().delta_u,
+            curvature_origin=model.curvature_at_origin(),
+            curvature_minima=model.curvature_at_x0(),
+            width_over_x0=models.barrier_width(model) / model.x0))
     return rows
 
 
@@ -314,48 +304,26 @@ def table1(delta_v: float = TABLE1_DELTA_V) -> str:
     return "\n".join(lines)
 
 
-def emit_profiles(model, grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
-    """Mean-field and quantum potential profiles for one model.
-
-    For the two-Gaussian model the set also carries the parabolic
-    companion curves of both wells: the harmonic approximation of U and
-    the matching expansion of deltaV, tangent to the true curves at
-    +-x0 up to terms of order S.
-    """
+def emit_profiles(model: models.Model,
+                  grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
+    """U, deltaV and the family's companion curves (the two-Gaussian well
+    parabolas) on grid, under the model's profile label."""
+    model = models.require_model(model)
     grid = np.asarray(list(grid), dtype=float)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    Profile = models.PotentialProfile
-    if isinstance(model, models.QuarticMeanFieldModel):
-        label = f"quartic dU={model.du:g}"
-        return (
-            Profile(models.quartic_potential(model, grid), "meanfield", label),
-            Profile(models.quartic_quantum_potential(model, grid), "quantum",
-                    label),
-        )
-    if not isinstance(model, models.TwoGaussianModel):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    x0, sigma = model.x0, model.sigma
-    label = f"alpha={model.alpha:g} sigma/x0={sigma / x0:g}"
-    curv_min = models.curvature_at_minima(model)
-    floor = -x0**2 / (2.0 * sigma**2)
-    out = [
-        Profile(models.meanfield_potential(model, grid), "meanfield", label),
-        Profile(models.quantum_potential_closed(model, grid), "quantum", label),
-    ]
-    for side, tag in ((1.0, "right"), (-1.0, "left")):
-        out.append(Profile((grid - side * x0)**2 / (2.0 * sigma**2),
-                           f"meanfield_parabola_{tag}", label))
-        out.append(Profile(floor + 0.5 * curv_min * (grid - side * x0)**2,
-                           f"quantum_parabola_{tag}", label))
-    return tuple(out)
+    label, extras = model.profile_extras(grid)
+    curves = (("meanfield", model.meanfield_potential(grid)),
+              ("quantum", model.quantum_potential(grid)), *extras)
+    return tuple(models.PotentialProfile(values, kind, label)
+                 for kind, values in curves)
 
 
-def _quantum_profiles(potential, family, grid, kind, scale, label):
-    """potential(model) / scale(model) on grid for each model of family."""
+def _quantum_profiles(family, grid, kind, scale, label):
+    """deltaV / scale(model) on grid for each model of family."""
     grid = np.asarray(list(grid), dtype=float)
-    return tuple(models.PotentialProfile(potential(m, grid) / scale(m), kind,
-                                         label(m)) for m in family)
+    return tuple(models.PotentialProfile(m.quantum_potential(grid) / scale(m),
+                                         kind, label(m)) for m in family)
 
 
 def quartic_family_profiles(
@@ -363,7 +331,6 @@ def quartic_family_profiles(
         grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
     """Quantum potentials of the quartic family, scaled by dU per curve."""
     return _quantum_profiles(
-        models.quartic_quantum_potential,
         (models.QuarticMeanFieldModel(du=du) for du in du_values), grid,
         "quantum_over_dU", lambda m: m.du, lambda m: f"dU={m.du:g}")
 
@@ -375,11 +342,10 @@ def shape_family_profiles(
         allow_out_of_range: bool = False) -> tuple[models.PotentialProfile, ...]:
     """Quantum potentials at varying sigma, each scaled by its own dV."""
     return _quantum_profiles(
-        models.quantum_potential_closed,
         (models.TwoGaussianModel(sigma=sigma, alpha=alpha,
                                  allow_out_of_range=allow_out_of_range)
          for sigma in sigma_values), grid, "quantum_over_dV",
-        lambda m: models.barrier_heights(m).delta_v,
+        lambda m: m.barrier_heights().delta_v,
         lambda m: f"sigma/x0={m.sigma:g}")
 
 
@@ -390,7 +356,6 @@ def fixed_dv_family_profiles(
         allow_out_of_range: bool = False) -> tuple[models.PotentialProfile, ...]:
     """Quantum potentials of the fixed-dV family, one curve per alpha."""
     return _quantum_profiles(
-        models.quantum_potential_closed,
         (models.TwoGaussianModel(sigma=models.sigma_for_delta_v(delta_v, alpha),
                                  alpha=alpha,
                                  allow_out_of_range=allow_out_of_range)

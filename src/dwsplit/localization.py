@@ -3,12 +3,12 @@
 The estimate uses a continuous piecewise localization function g built from
 the equilibrium density rho_eq of a symmetric double well:
 
-    g(x) = -1                                   for x <= -x_m,
-    g(x) = (1/I) * integral_0^x dy / rho_eq(y)  for |x| < x_m,
-    g(x) = +1                                   for x >= +x_m,
+    g(x) = -1                                   for x <= -x0,
+    g(x) = (1/I) * integral_0^x dy / rho_eq(y)  for |x| < x0,
+    g(x) = +1                                   for x >= +x0,
 
-with I = integral_0^{x_m} dy / rho_eq(y) so that g is continuous and odd.
-x_m is the density maximum.  The splitting estimate in reduced units is
+with I = integral_0^{x0} dy / rho_eq(y) so that g is continuous and odd.
+x0 is the density maximum.  The splitting estimate in reduced units is
 
     deltaE1_g / E_u = 2 x0^2 / (I * <g| rho_eq |g>),
 
@@ -42,7 +42,7 @@ class LocalizationResult:
     """Splitting estimate together with its ingredients.
 
     splitting : deltaE1_g in E_u units (upper bound on the exact value).
-    i_value : the inverse-density integral I over [0, x_m], in x0^2 units.
+    i_value : the inverse-density integral I over [0, x0], in x0^2 units.
     g_norm : <g| rho_eq |g>, slightly below one for separated wells.
     """
 
@@ -54,24 +54,24 @@ class LocalizationResult:
 def discretize(view: MeanFieldView, panels: int):
     """(half, rho, inv, part, g, estimate) on P panels.
 
-    P/2 equal panels cover [0, x_m] and P/2 [x_m, domain_halfwidth].  half
+    P/2 equal panels cover [0, x0] and P/2 [x0, domain_halfwidth].  half
     holds their half-widths, shape (P, 1); rho, inv and g hold rho_eq,
     1/rho_eq and g on the 16 NODES of each panel, shape (P, 16), rho_eq
     being view.rho_eq over its panel sum on [-L, L].  part, the one
     integral of 1/rho_eq, runs from each panel's left edge to each node
     and, last, over the whole panel, shape (P, 17).  I sums the first P/2
     panels whole; g = min(C/I, 1) with C = part plus the whole panels
-    before, and g = 1 on every node of [x_m, L].  estimate is the
+    before, and g = 1 on every node of [x0, L].  estimate is the
     LocalizationResult from I and <g|rho_eq|g>.  Raises NumericsError if
     1/rho_eq is not finite on the nodes (rho_eq underflows): the one
     underflow check of the density.
     """
-    m, outer = panels // 2, view.domain_halfwidth - view.x_m
+    m, outer = panels // 2, view.domain_halfwidth - view.x0
     unit = numerics.unit_panels(m)
-    half = np.repeat([view.x_m / panels, outer / panels], m)[:, None]
+    half = np.repeat([view.x0 / panels, outer / panels], m)[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rho = view.rho_eq(np.concatenate([view.x_m * unit,
-                                          view.x_m + outer * unit]))
+        rho = view.rho_eq(np.concatenate([view.x0 * unit,
+                                          view.x0 + outer * unit]))
         rho = rho / (2.0 * float(half[:, 0] @ (rho @ WEIGHTS)))
         inv = 1.0 / rho
     if not np.all(np.isfinite(inv)):

@@ -12,12 +12,12 @@ potential from the density alone,
                  = x0^2 (U'^2 / 4 - U'' / 2),
 
 the shifted potential whose Schroedinger operator has rho_eq^(1/2) as its
-exact nodeless ground state at eigenvalue zero.  Each family states U and
-deltaV in closed form once.  U returns numpy values; deltaV returns a float,
-computed on Python floats, for float x (numpy.float64 included) and an array
-otherwise.  ``meanfield_view`` turns any model into a ``MeanFieldView``: the
-density exp(-U), up to a factor, and its scales, which is all the
-localization estimate and the Green pass read.
+exact nodeless ground state at eigenvalue zero.  A family is one class
+with the members of the ``Model`` protocol.  U returns numpy values;
+deltaV returns a float, computed on Python floats, for float x
+(numpy.float64 included) and an array otherwise.  ``meanfield_view`` turns
+a model into a ``MeanFieldView``: the density exp(-U), up to a factor, and
+the scales that the localization estimate and the Green pass read.
 
 Two families are provided:
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -46,6 +46,37 @@ from . import numerics
 # of order S = exp(-2 x0^2 / (alpha sigma^2)) and degrade there.
 SIGMA_RATIO_MAX = 0.5
 SUPERPOSITION_WARN = 1e-3
+
+
+@dataclass(frozen=True)
+class BarrierHeights:
+    """Closed-form barrier heights: mean-field dU and quantum dV (E_u units)."""
+
+    delta_u: float
+    delta_v: float
+
+
+@runtime_checkable
+class Model(Protocol):
+    """What the package reads of a model; a new family is one class.
+
+    Closed forms of U (kT), deltaV (E_u) and x0^2 deltaV'' / E_u; the
+    domain half-width and the view label; profile_extras(grid) -> (profile
+    label, (kind, values) curves beside U and deltaV); and
+    two_gaussian_columns() -> (sigma, alpha, width, overlap, failure) or None.
+    """
+
+    x0: float
+
+    def meanfield_potential(self, x): ...
+    def quantum_potential(self, x): ...
+    def barrier_heights(self) -> BarrierHeights: ...
+    def curvature_at_x0(self) -> float: ...
+    def curvature_at_origin(self) -> float: ...
+    def domain_halfwidth(self) -> float: ...
+    def label(self) -> str: ...
+    def profile_extras(self, grid) -> tuple: ...
+    def two_gaussian_columns(self) -> tuple | None: ...
 
 
 @dataclass(frozen=True)
@@ -95,23 +126,109 @@ class TwoGaussianModel:
                 raise ValueError(
                     f"sigma/x0 = {ratio:.4g} outside the validated range "
                     f"(0, {SIGMA_RATIO_MAX}]; pass allow_out_of_range=True "
-                    f"to construct anyway"
-                )
+                    f"to construct anyway")
             notes.append(
                 f"sigma/x0 = {ratio:.4g} exceeds {SIGMA_RATIO_MAX}; "
-                f"closed-form barrier expressions lose accuracy"
-            )
+                f"closed-form barrier expressions lose accuracy")
         s = superposition_coefficient(self)
         if s >= SUPERPOSITION_WARN:
             notes.append(
-                f"well separation is marginal: S = {s:.3e} >= {SUPERPOSITION_WARN:g}"
-            )
-        if curvature_at_origin(self) >= 0.0:
+                f"well separation is marginal: S = {s:.3e} >= {SUPERPOSITION_WARN:g}")
+        if self.curvature_at_origin() >= 0.0:
             notes.append(
                 "quantum potential has a third minimum at the origin "
-                "(curvature_at_origin >= 0)"
-            )
+                "(curvature_at_origin >= 0)")
         object.__setattr__(self, "validity_warnings", tuple(notes))
+
+    def meanfield_potential(self, x):
+        """U(x) = (x^2 + x0^2)/(2 sigma^2) - alpha ln(e^u + e^-u), u = x x0/(alpha sigma^2).
+
+        Zero of energy sits at the density maxima up to O(S): U(+-x0) = O(S).
+        ln(e^u + e^-u) = |u| + log1p(e^(-2|u|)) stays finite at large |u|.
+        """
+        x = np.asarray(x, dtype=float)
+        s2 = self.sigma**2
+        a = np.abs(x * self.x0 / (self.alpha * s2))
+        return ((x * x + self.x0**2) / (2.0 * s2)
+                - self.alpha * (a + np.log1p(np.exp(-2.0 * a))))
+
+    def quantum_potential(self, x):
+        """Closed-form quantum potential deltaV(x)/E_u.
+
+        deltaV/E_u = (x0^4 / 4 sigma^4) (x/x0 - tanh u)^2
+                   + (x0^4 / 2 alpha sigma^4) sech^2 u  -  x0^2 / 2 sigma^2,
+        with u = x x0 / (alpha sigma^2).  deltaV is even, and with
+        t = exp(-2|u|), tanh|u| = (1 - t)/(1 + t) and sech^2 u = 4t/(1 + t)^2:
+        one exponential, which underflows to 0 where |u| is large.
+        """
+        scalar = isinstance(x, float)
+        a = abs(float(x)) if scalar else np.abs(np.asarray(x, dtype=float))
+        s2 = self.sigma**2
+        r2 = self.x0**2 / s2          # (x0/sigma)^2
+        t = (math.exp if scalar else np.exp)(-2.0 * self.x0 * a
+                                             / (self.alpha * s2))
+        d = a / self.x0 - (1.0 - t) / (1.0 + t)
+        return (0.25 * r2 * r2 * (d * d)
+                + 2.0 * r2 * r2 / self.alpha * t / ((1.0 + t) * (1.0 + t))
+                - 0.5 * r2)
+
+    def barrier_heights(self) -> BarrierHeights:
+        """Closed-form barrier heights, O(S) terms dropped.
+
+        delta_u = x0^2/(2 sigma^2) - alpha ln 2          (mean field)
+        delta_v = x0^4/(2 alpha sigma^4)                 (quantum, E_u units)
+
+        They obey delta_v = (2/alpha) * (delta_u + alpha ln 2)^2 identically.
+        """
+        r2 = self.x0**2 / self.sigma**2
+        return BarrierHeights(delta_u=0.5 * r2 - self.alpha * math.log(2.0),
+                              delta_v=0.5 * r2 * r2 / self.alpha)
+
+    def curvature_at_x0(self) -> float:
+        """x0^2 * deltaV''(+-x0) / E_u = x0^4 / (2 sigma^4), O(S) terms dropped."""
+        r2 = self.x0**2 / self.sigma**2
+        return 0.5 * r2 * r2
+
+    def curvature_at_origin(self) -> float:
+        """x0^2 * deltaV''(0) / E_u from the closed form.
+
+        = (x0^4 / 2 sigma^4) (1 - b)^2 - x0^8 / (alpha^3 sigma^8),
+        with b = x0^2 / (alpha sigma^2).  Negative while the quantum potential
+        keeps its two-minimum shape.
+        """
+        r2 = self.x0**2 / self.sigma**2
+        b = r2 / self.alpha
+        return 0.5 * r2 * r2 * (1.0 - b) ** 2 - r2**4 / self.alpha**3
+
+    def domain_halfwidth(self) -> float:
+        return self.x0 + 10.0 * self.sigma
+
+    def label(self) -> str:
+        return f"two_gaussian(sigma={self.sigma:g}, alpha={self.alpha:g})"
+
+    def profile_extras(self, grid):
+        """The parabolas of both wells: the harmonic approximation of U and
+        the matching expansion of deltaV, tangent to the true curves at
+        +-x0 up to terms of order S."""
+        s2 = self.sigma**2
+        floor = -self.x0**2 / (2.0 * s2)
+        out = []
+        for side, tag in ((1.0, "right"), (-1.0, "left")):
+            d2 = (grid - side * self.x0)**2
+            out += [(f"meanfield_parabola_{tag}", d2 / (2.0 * s2)),
+                    (f"quantum_parabola_{tag}",
+                     floor + 0.5 * self.curvature_at_x0() * d2)]
+        return f"alpha={self.alpha:g} sigma/x0={self.sigma / self.x0:g}", out
+
+    def two_gaussian_columns(self):
+        """(sigma, alpha, width, overlap, failure): the failure names why
+        barrier_width raised, and width is None then."""
+        try:
+            width, failure = barrier_width(self), None
+        except (ValueError, numerics.NumericsError) as err:
+            width, failure = None, f"{type(err).__name__}: {err}"
+        return (self.sigma, self.alpha, width, superposition_coefficient(self),
+                failure)
 
 
 @dataclass(frozen=True)
@@ -130,8 +247,61 @@ class QuarticMeanFieldModel:
         if not 0 < self.x0 < math.inf:
             raise ValueError(f"x0 must be positive and finite, got {self.x0}")
 
+    def meanfield_potential(self, x):
+        """U(x) = du (1 - (x/x0)^2)^2."""
+        s = np.asarray(x, dtype=float) / self.x0
+        return self.du * (1.0 - s * s) ** 2
 
-ModelLike = Union[TwoGaussianModel, QuarticMeanFieldModel]
+    def quantum_potential(self, x):
+        """Closed-form quantum potential (E_u units).
+
+        deltaV/E_u = 4 du^2 s^2 (1 - s^2)^2 + 2 du (1 - 3 s^2),  s = x/x0.
+        At the origin deltaV = 2 du; the curvature there flips sign at du = 1.5,
+        beyond which a third minimum appears.
+        """
+        s = (float(x) if isinstance(x, float)
+             else np.asarray(x, dtype=float)) / self.x0
+        s2 = s * s
+        w = 1.0 - s2
+        return 4.0 * self.du**2 * s2 * (w * w) + 2.0 * self.du * (1.0 - 3.0 * s2)
+
+    def barrier_heights(self) -> BarrierHeights:
+        """Barrier heights in closed form.
+
+        delta_v = 2 du - min deltaV.  With t = s^2, deltaV = 4 du^2 t (1 - t)^2
+        + 2 du (1 - 3t) is a cubic in t; its outer minimum sits at the larger
+        critical point t = (4 + sqrt(4 + 18/du)) / 6, below deltaV(0) = 2 du.
+        """
+        du = self.du
+        t = (4.0 + math.sqrt(4.0 + 18.0 / du)) / 6.0
+        v_min = 4.0 * du * du * t * (1.0 - t) ** 2 + 2.0 * du * (1.0 - 3.0 * t)
+        return BarrierHeights(delta_u=du, delta_v=2.0 * du - v_min)
+
+    def curvature_at_x0(self) -> float:
+        """x0^2 * deltaV''(x0) / E_u = 32 du^2 - 12 du; x0 minimizes U, not deltaV."""
+        return 32.0 * self.du**2 - 12.0 * self.du
+
+    def curvature_at_origin(self) -> float:
+        """x0^2 * deltaV''(0) / E_u = 8 du^2 - 12 du."""
+        return 8.0 * self.du**2 - 12.0 * self.du
+
+    def domain_halfwidth(self) -> float:
+        # e^{-U} drops below e^{-80} past this point
+        return self.x0 * math.sqrt(1.0 + math.sqrt(80.0 / self.du))
+
+    def label(self) -> str:
+        return f"quartic(du={self.du:g})"
+
+    def profile_extras(self, grid):
+        return f"quartic dU={self.du:g}", ()
+
+    def two_gaussian_columns(self):
+        return None
+
+
+# The two-Gaussian closed forms under their module names.
+quantum_potential_closed = TwoGaussianModel.quantum_potential
+curvature_at_minima = TwoGaussianModel.curvature_at_x0
 
 
 @dataclass(frozen=True)
@@ -139,15 +309,13 @@ class MeanFieldView:
     """One model's equilibrium density and the scales read with it.
 
     Built by `meanfield_view` only.  rho_eq is exp(-U), proportional to the
-    density (`localization.discretize` normalizes it).  x0 is the reduced
-    length unit; x_m is the matching point used by localization (the
-    density maximum, equal to x0 for both families here); domain_halfwidth
-    bounds the region carrying all but negligible density mass.
+    density (`localization.discretize` normalizes it).  x0 is the length
+    unit and the density maximum, where localization splits its panels;
+    domain_halfwidth bounds all but negligible density mass.
     """
 
     rho_eq: Callable
     x0: float
-    x_m: float
     domain_halfwidth: float
     label: str = ""
 
@@ -161,88 +329,23 @@ class PotentialProfile:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class BarrierHeights:
-    """Closed-form barrier heights: mean-field dU and quantum dV (E_u units)."""
-
-    delta_u: float
-    delta_v: float
-
-
-# ---------------------------------------------------------------------------
-# two-Gaussian closed forms
-# ---------------------------------------------------------------------------
-
-def meanfield_potential(model: TwoGaussianModel, x):
-    """U(x) = (x^2 + x0^2)/(2 sigma^2) - alpha ln(e^u + e^-u), u = x x0/(alpha sigma^2).
-
-    Zero of energy sits at the density maxima up to O(S): U(+-x0) = O(S).
-    """
-    x = np.asarray(x, dtype=float)
-    s2 = model.sigma**2
-    u = x * model.x0 / (model.alpha * s2)
-    # alpha * ln(e^u + e^-u) via logaddexp to survive large |u|
-    return ((x * x + model.x0**2) / (2.0 * s2)
-            - model.alpha * np.logaddexp(u, -u))
+def require_model(model) -> Model:
+    """model itself; TypeError when it lacks a member of ``Model``."""
+    if not isinstance(model, Model):
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    return model
 
 
-def quantum_potential_closed(model: TwoGaussianModel, x):
-    """Closed-form quantum potential deltaV(x)/E_u of the two-Gaussian model.
-
-    deltaV/E_u = (x0^4 / 4 sigma^4) (x/x0 - tanh u)^2
-               + (x0^4 / 2 alpha sigma^4) sech^2 u  -  x0^2 / 2 sigma^2,
-    with u = x x0 / (alpha sigma^2).  deltaV is even, and with
-    t = exp(-2|u|), tanh|u| = (1 - t)/(1 + t) and sech^2 u = 4t/(1 + t)^2:
-    one exponential, which underflows to 0 where |u| is large.
-    """
-    scalar = isinstance(x, float)
-    a = abs(float(x)) if scalar else np.abs(np.asarray(x, dtype=float))
-    s2 = model.sigma**2
-    r2 = model.x0**2 / s2          # (x0/sigma)^2
-    t = (math.exp if scalar else np.exp)(-2.0 * model.x0 * a
-                                         / (model.alpha * s2))
-    d = a / model.x0 - (1.0 - t) / (1.0 + t)
-    return (0.25 * r2 * r2 * (d * d)
-            + 2.0 * r2 * r2 / model.alpha * t / ((1.0 + t) * (1.0 + t))
-            - 0.5 * r2)
-
-
-def barrier_heights(model: TwoGaussianModel) -> BarrierHeights:
-    """Closed-form barrier heights, O(S) terms dropped.
-
-    delta_u = x0^2/(2 sigma^2) - alpha ln 2          (mean field)
-    delta_v = x0^4/(2 alpha sigma^4)                 (quantum, E_u units)
-
-    They obey delta_v = (2/alpha) * (delta_u + alpha ln 2)^2 identically.
-    """
-    r2 = model.x0**2 / model.sigma**2
-    return BarrierHeights(
-        delta_u=0.5 * r2 - model.alpha * math.log(2.0),
-        delta_v=0.5 * r2 * r2 / model.alpha,
-    )
+def meanfield_view(model: Model) -> MeanFieldView:
+    """The model's density exp(-U), its scales and a label."""
+    model = require_model(model)
+    return MeanFieldView(lambda x: np.exp(-model.meanfield_potential(x)),
+                         model.x0, model.domain_halfwidth(), model.label())
 
 
 def superposition_coefficient(model: TwoGaussianModel) -> float:
     """Well-overlap measure S = exp(-2 x0^2 / (alpha sigma^2))."""
     return math.exp(-2.0 * model.x0**2 / (model.alpha * model.sigma**2))
-
-
-def curvature_at_origin(model: TwoGaussianModel) -> float:
-    """x0^2 * deltaV''(0) / E_u from the closed form.
-
-    = (x0^4 / 2 sigma^4) (1 - b)^2 - x0^8 / (alpha^3 sigma^8),
-    with b = x0^2 / (alpha sigma^2).  Negative while the quantum potential
-    keeps its two-minimum shape.
-    """
-    r2 = model.x0**2 / model.sigma**2
-    b = r2 / model.alpha
-    return 0.5 * r2 * r2 * (1.0 - b) ** 2 - r2**4 / model.alpha**3
-
-
-def curvature_at_minima(model: TwoGaussianModel) -> float:
-    """x0^2 * deltaV''(+-x0) / E_u = x0^4 / (2 sigma^4), O(S) terms dropped."""
-    r2 = model.x0**2 / model.sigma**2
-    return 0.5 * r2 * r2
 
 
 def barrier_width(model: TwoGaussianModel) -> float:
@@ -255,16 +358,14 @@ def barrier_width(model: TwoGaussianModel) -> float:
     Raises ValueError when the quantum potential is not a two-minimum
     barrier (curvature_at_origin >= 0).
     """
-    if curvature_at_origin(model) >= 0.0:
+    if model.curvature_at_origin() >= 0.0:
         raise ValueError(
             "barrier width undefined: quantum potential has a third minimum "
-            "at the origin for these parameters"
-        )
-    top = quantum_potential_closed(model, 0.0)
-    level = top - 0.5 * barrier_heights(model).delta_v
+            "at the origin for these parameters")
+    level = model.quantum_potential(0.0) - 0.5 * model.barrier_heights().delta_v
 
     def excess(x):
-        return quantum_potential_closed(model, x) - level
+        return model.quantum_potential(x) - level
 
     # excess(0) = +dV/2, excess(x0) = -dV/2 + O(S): a guaranteed bracket
     right = numerics.find_root_bracketed(excess, 0.0, model.x0,
@@ -319,11 +420,10 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
 
     delta_v fixes sigma for each alpha through sigma_for_delta_v; alpha is
     then solved so that barrier_width matches ``width``.  The width grows
-    monotonically with alpha, so the solution is unique within the
-    two-minimum range.
-
-    Raises ValueError when the requested width falls outside the attainable
-    band, quoting the band in the message.
+    monotonically with alpha, so the solution is unique within the band
+    where it is defined: below the two-minimum limit and below the alpha
+    where deltaV(x0) reaches the half-height level (the lower of the two
+    at dV <= 16).  Raises ValueError, quoting the band, outside it.
     """
     for name, value in (("delta_v", delta_v), ("width", width)):
         if not 0 < value < math.inf:
@@ -333,13 +433,21 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
         return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),
                                 x0=x0, alpha=alpha, allow_out_of_range=True)
 
+    def floor_above_level(alpha: float) -> float:
+        m = model_at(alpha)
+        return m.quantum_potential(x0) - (m.quantum_potential(0.0)
+                                          - 0.5 * m.barrier_heights().delta_v)
+
     alpha_hi = two_minimum_alpha_limit(delta_v) * (1.0 - 1e-9)
+    if floor_above_level(alpha_hi) >= 0.0:
+        alpha_hi = numerics.find_root_bracketed(
+            floor_above_level, 1.0, alpha_hi, tol=1e-12) * (1.0 - 1e-9)
     w_lo = barrier_width(model_at(1.0))
     w_hi = barrier_width(model_at(alpha_hi))
     if not (w_lo <= width <= w_hi):
         raise ValueError(
             f"width {width:.6g} not attainable at delta_v = {delta_v:g}: "
-            f"the two-minimum family spans [{w_lo:.6g}, {w_hi:.6g}] "
+            f"the barrier width is defined on [{w_lo:.6g}, {w_hi:.6g}] "
             f"(alpha in [1, {alpha_hi:.4g}])"
         )
 
@@ -349,73 +457,3 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
     return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),
                             x0=x0, alpha=alpha,
                             allow_out_of_range=allow_out_of_range)
-
-
-# ---------------------------------------------------------------------------
-# quartic closed forms
-# ---------------------------------------------------------------------------
-
-def quartic_potential(model: QuarticMeanFieldModel, x):
-    """Mean-field quartic double well U(x) = du (1 - (x/x0)^2)^2."""
-    s = np.asarray(x, dtype=float) / model.x0
-    return model.du * (1.0 - s * s) ** 2
-
-
-def quartic_quantum_potential(model: QuarticMeanFieldModel, x):
-    """Closed-form quantum potential of the quartic mean field (E_u units).
-
-    deltaV/E_u = 4 du^2 s^2 (1 - s^2)^2 + 2 du (1 - 3 s^2),  s = x/x0.
-    At the origin deltaV = 2 du; the curvature there flips sign at du = 1.5,
-    beyond which a third minimum appears.
-    """
-    s = (float(x) if isinstance(x, float)
-         else np.asarray(x, dtype=float)) / model.x0
-    s2 = s * s
-    w = 1.0 - s2
-    return (4.0 * model.du**2 * s2 * (w * w)
-            + 2.0 * model.du * (1.0 - 3.0 * s2))
-
-
-def quartic_curvature_at_origin(model: QuarticMeanFieldModel) -> float:
-    """x0^2 * deltaV''(0) / E_u = 8 du^2 - 12 du for the quartic family."""
-    return 8.0 * model.du**2 - 12.0 * model.du
-
-
-def quartic_curvature_at_x0(model: QuarticMeanFieldModel) -> float:
-    """x0^2 * deltaV''(x0) / E_u = 32 du^2 - 12 du; x0 minimizes U, not deltaV."""
-    return 32.0 * model.du**2 - 12.0 * model.du
-
-
-def quartic_barrier_heights(model: QuarticMeanFieldModel) -> BarrierHeights:
-    """Barrier heights of the quartic family in closed form.
-
-    delta_v = 2 du - min deltaV.  With t = s^2, deltaV = 4 du^2 t (1 - t)^2
-    + 2 du (1 - 3t) is a cubic in t; its outer minimum sits at the larger
-    critical point t = (4 + sqrt(4 + 18/du)) / 6, below deltaV(0) = 2 du.
-    """
-    du = model.du
-    t = (4.0 + math.sqrt(4.0 + 18.0 / du)) / 6.0
-    v_min = 4.0 * du * du * t * (1.0 - t) ** 2 + 2.0 * du * (1.0 - 3.0 * t)
-    return BarrierHeights(delta_u=du, delta_v=2.0 * du - v_min)
-
-
-# ---------------------------------------------------------------------------
-# mean-field views
-# ---------------------------------------------------------------------------
-
-def meanfield_view(model: ModelLike) -> MeanFieldView:
-    """The model's density exp(-U), its scales and a label."""
-    if isinstance(model, TwoGaussianModel):
-        potential = meanfield_potential
-        halfwidth = model.x0 + 10.0 * model.sigma
-        label = f"two_gaussian(sigma={model.sigma:g}, alpha={model.alpha:g})"
-    elif isinstance(model, QuarticMeanFieldModel):
-        potential = quartic_potential
-        # e^{-U} drops below e^{-80} past this point
-        halfwidth = model.x0 * math.sqrt(1.0 + math.sqrt(80.0 / model.du))
-        label = f"quartic(du={model.du:g})"
-    else:
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
-    return MeanFieldView(rho_eq=lambda x: np.exp(-potential(model, x)),
-                         x0=model.x0, x_m=model.x0,
-                         domain_halfwidth=halfwidth, label=label)

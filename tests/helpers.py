@@ -12,9 +12,13 @@ panel matrices: their cumulative form written out, one direction at a time.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from dwsplit.models import BarrierHeights
 from dwsplit.numerics import FORWARD, REVERSE
 
 
@@ -64,7 +68,7 @@ def trapezoid_localization(view, n: int = 1_000_001):
 
     Mirrors the defining integrals with trapezoid sums on [0, L]:
     rho is view.rho_eq normalized to unit integral over [-L, L],
-    I = int_0^{x_m} 1/rho, g = min(C(x)/I, 1) with C the running
+    I = int_0^{x0} 1/rho, g = min(C(x)/I, 1) with C the running
     inverse-density integral, norm = <g|rho|g> over the full axis.
     """
     x = np.linspace(0.0, view.domain_halfwidth, n)
@@ -73,7 +77,7 @@ def trapezoid_localization(view, n: int = 1_000_001):
     inv = 1.0 / rho
     h = x[1] - x[0]
     cum = np.concatenate([[0.0], np.cumsum((inv[1:] + inv[:-1]) * 0.5 * h)])
-    i_value = float(np.interp(view.x_m, x, cum))
+    i_value = float(np.interp(view.x0, x, cum))
     g = np.minimum(cum / i_value, 1.0)
     norm = 2.0 * float(np.trapezoid(g * g * rho, x))
     splitting = 2.0 * view.x0**2 / (i_value * norm)
@@ -88,7 +92,7 @@ def trapezoid_green(view, n: int) -> float:
     depend on the scale of rho).  The Green's operator
     (K phi)(x) = x0^-2 int_0^x ds/rho(s) int_s^L rho phi dy is two
     trapezoid cumulative sums, the inner one summed from L inwards.  Power
-    iteration starts from min(x/x_m, 1) and stops when the Rayleigh
+    iteration starts from min(x/x0, 1) and stops when the Rayleigh
     quotient <rho K phi, phi> / <rho K phi, K phi> repeats to 1e-15.  The
     error is O(h^2), which one Richardson step over n and 2n removes.
     """
@@ -102,7 +106,7 @@ def trapezoid_green(view, n: int) -> float:
     def cumulative(f):
         return np.concatenate([[0.0], np.cumsum(0.5 * h * (f[1:] + f[:-1]))])
 
-    phi, last = np.minimum(x / view.x_m, 1.0), None
+    phi, last = np.minimum(x / view.x0, 1.0), None
     for _ in range(500):
         psi = cumulative(cumulative((rho * phi)[::-1])[::-1] / rho) / view.x0**2
         top = psi.max()
@@ -119,3 +123,84 @@ def richardson_green(view) -> float:
     """trapezoid_green over n = 20,000 and 40,000 with one Richardson step."""
     return (4.0 * trapezoid_green(view, 40_000)
             - trapezoid_green(view, 20_000)) / 3.0
+
+
+@dataclass(frozen=True)
+class RazavyModel:
+    """Razavy's bistable well (Am. J. Phys. 48, 285, 1980) as a third family.
+
+    It implements only the members of the ``dwsplit.models.Model`` protocol,
+    so the package reads it as it reads its own families.  With xi = e^t,
+    t < 0, the density is rho_eq ~ cosh^2 x exp(-(xi/2) cosh 2x), so
+
+        U = (xi/2) cosh 2x - 2 ln cosh x,
+
+    shifted below to 0 at its minima x = +-x0, cosh^2 x0 = 1/xi, where
+    U = 1 - xi/2 + t; the barrier is dU = U(0) - U(x0) = xi - 1 - t.  In x,
+    U' = xi sinh 2x - 2 tanh x and U'' = 2 xi cosh 2x - 2 sech^2 x; with
+    sinh 2x tanh x = cosh 2x - 1 and tanh^2 x + sech^2 x = 1,
+
+        V = U'^2/4 - U''/2 = (xi^2/4) sinh^2 2x - 2 xi cosh 2x + 1 + xi,
+
+    and deltaV / E_u = x0^2 V(x), as the package defines it.  The odd state
+    sinh x exp(-(xi/4) cosh 2x) gives -psi'' + V psi = 2 xi psi, so the
+    splitting is exactly 2 xi x0^2 (``exact_splitting``).  V'' = 2 xi^2
+    cosh 4x - 8 xi cosh 2x is 2 xi^2 - 8 xi < 0 both at 0 and at x0
+    (cosh 2x0 = 2/xi - 1): the density maximum is no minimum of deltaV, so
+    WKB does not apply.  deltaV has its minima at cosh 2x = 4/xi, where
+    V = -3 + xi - xi^2/4, below V(0) = 1 - xi by (2 - xi/2)^2.
+    Every cosh is written as exponentials of t +- 2|x|, which stay finite.
+    """
+
+    t: float
+
+    def __post_init__(self):
+        if not -math.inf < self.t < 0.0:
+            raise ValueError(f"t must be finite and negative, got {self.t}")
+
+    @property
+    def x0(self) -> float:
+        return math.acosh(math.exp(-0.5 * self.t))
+
+    def exact_splitting(self) -> float:
+        return 2.0 * math.exp(self.t) * self.x0**2
+
+    def meanfield_potential(self, x):
+        a = np.abs(np.asarray(x, dtype=float))
+        cosh_term = 0.25 * (np.exp(self.t + 2.0 * a) + np.exp(self.t - 2.0 * a))
+        log_cosh = np.logaddexp(a, -a) - math.log(2.0)
+        return (cosh_term - 2.0 * log_cosh
+                - (1.0 - 0.5 * math.exp(self.t) + self.t))
+
+    def quantum_potential(self, x):
+        scalar = isinstance(x, float)
+        a = abs(x) if scalar else np.abs(np.asarray(x, dtype=float))
+        exp = math.exp if scalar else np.exp
+        up, down = exp(self.t + 2.0 * a), exp(self.t - 2.0 * a)
+        return self.x0**2 * (((up - down) / 4.0)**2 - (up + down)
+                             + 1.0 + math.exp(self.t))
+
+    def barrier_heights(self) -> BarrierHeights:
+        xi = math.exp(self.t)
+        return BarrierHeights(delta_u=xi - 1.0 - self.t,
+                              delta_v=self.x0**2 * (2.0 - 0.5 * xi)**2)
+
+    def curvature_at_x0(self) -> float:
+        xi = math.exp(self.t)
+        return self.x0**4 * (2.0 * xi * xi - 8.0 * xi)
+
+    def curvature_at_origin(self) -> float:
+        return self.curvature_at_x0()
+
+    def domain_halfwidth(self) -> float:
+        # (1/4) e^(t + 2L) = 100 there, so U(L) is about 94
+        return 0.5 * (math.log(400.0) - self.t)
+
+    def label(self) -> str:
+        return f"razavy(t={self.t:g})"
+
+    def profile_extras(self, grid):
+        return f"razavy t={self.t:g}", ()
+
+    def two_gaussian_columns(self):
+        return None

@@ -74,7 +74,7 @@ def test_barrier_height_identity():
         sigma = rng.uniform(0.05, 0.5)
         alpha = rng.uniform(1.0, 10.0)
         model = models.TwoGaussianModel(sigma=sigma, alpha=alpha)
-        h = models.barrier_heights(model)
+        h = model.barrier_heights()
         expect = (2.0 / alpha) * (h.delta_u + alpha * math.log(2.0)) ** 2
         worst = max(worst, abs(h.delta_v - expect) / expect)
     elapsed = time.perf_counter() - t0
@@ -93,7 +93,7 @@ def test_density_square_root_is_ground_state():
         model = models.TwoGaussianModel(sigma=sigma, alpha=alpha)
         dv = lambda x: models.quantum_potential_closed(model, x)
         x, _, psi0 = fd_ground_state(dv)
-        density = lambda y: np.exp(-models.meanfield_potential(model, y))
+        density = lambda y: np.exp(-model.meanfield_potential(y))
         halfwidth = model.x0 + 10.0 * model.sigma
         z, _ = quad(density, -halfwidth, halfwidth, epsabs=0.0, epsrel=1e-13)
         rho = density(x) / z
@@ -196,13 +196,13 @@ def test_independent_eigensolver_agreement():
 
 def test_quartic_central_minimum_onset():
     root = brentq(
-        lambda du: models.quartic_curvature_at_origin(
-            models.QuarticMeanFieldModel(du=du)), 1.2, 1.8, xtol=1e-12)
+        lambda du: models.QuarticMeanFieldModel(
+            du=du).curvature_at_origin(), 1.2, 1.8, xtol=1e-12)
     counts = {}
     for du in (0.5, 1.0, 2.5, 5.0):
         model = models.QuarticMeanFieldModel(du=du)
         x = np.linspace(-1.5, 1.5, 10_000)
-        s = np.sign(np.diff(models.quartic_quantum_potential(model, x)))
+        s = np.sign(np.diff(model.quantum_potential(x)))
         s = s[s != 0.0]
         counts[du] = int(np.sum((s[:-1] < 0) & (s[1:] > 0)))
     ok = (abs(root - 1.5) <= 1e-9

@@ -130,6 +130,30 @@ class TestSplit:
         assert doc["alpha"] == pytest.approx(2.0, abs=2e-3)
         assert doc["sigma"] == pytest.approx(0.3021, abs=5e-4)
 
+    @pytest.mark.parametrize("width, alpha", [("0.5", 1.2151),
+                                              ("0.8", 2.4192)])
+    def test_resolves_width_below_dv_16(self, capsys, width, alpha):
+        # at dV = 15 the well floor deltaV(x0) reaches the half-height level
+        # at alpha = 19.17, before the two minima merge; the band ends there
+        code, out, err = run(capsys, "split", "--dv", "15", "--width", width)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["alpha"] == pytest.approx(alpha, abs=1e-4)
+        assert doc["width"] == pytest.approx(float(width), rel=1e-10)
+        assert doc["delta_v"] == pytest.approx(15.0, rel=1e-10)
+        assert doc["failures"] == {}
+
+    @pytest.mark.parametrize("dv, width, band", [
+        ("15", "0.3", "[0.433039, 1.40938] (alpha in [1, 19.17])"),
+        ("0.9", "0.034", "[1.31648, 2] (alpha in [1, 1.914])"),
+    ])
+    def test_width_outside_its_band_names_the_band(self, capsys, dv, width,
+                                                   band):
+        code, out, err = run(capsys, "split", "--dv", dv, "--width", width)
+        assert code == 1
+        assert out == ""
+        assert f"the barrier width is defined on {band}" in err
+
     def test_height_width_pair_rejects_alpha(self, capsys):
         # the pair fixes alpha; a given --alpha would be dropped silently
         code, out, err = run(capsys, "split", "--dv", "30", "--width", "0.64",

@@ -145,7 +145,7 @@ class TestGreenSplitting:
         view = models.MeanFieldView(
             rho_eq=lambda x: (np.exp(-0.5 * (x / sigma) ** 2)
                               / (sigma * np.sqrt(2.0 * np.pi))),
-            x0=x0, x_m=sigma, domain_halfwidth=10.0 * sigma)
+            x0=x0, domain_halfwidth=10.0 * sigma)
         res = exact.green_splitting(view)
         assert res.converged
         assert res.splitting == pytest.approx((x0 / sigma) ** 2, rel=1e-13)
@@ -275,7 +275,7 @@ class TestGreenSplitting:
 
     def test_quartic_against_grid_solver(self):
         model = models.QuarticMeanFieldModel(du=3.0)
-        ref = fd_lowest(lambda x: models.quartic_quantum_potential(model, x))
+        ref = fd_lowest(model.quantum_potential)
         res = exact.green_splitting(models.meanfield_view(model))
         assert res.splitting == pytest.approx(ref[1] - ref[0], rel=1e-6)
 

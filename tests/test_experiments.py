@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dwsplit import experiments, localization, models, numerics
+from helpers import RazavyModel
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -131,8 +132,8 @@ class TestRunSweep:
             assert row.sigma is None and row.alpha is None
             assert row.delta_u == row.swept_value
             assert row.delta_v > row.delta_u  # quantum barrier is higher here
-            assert row.delta_v == models.quartic_barrier_heights(
-                models.QuarticMeanFieldModel(du=row.swept_value)).delta_v
+            assert row.delta_v == models.QuarticMeanFieldModel(
+                du=row.swept_value).barrier_heights().delta_v
             assert not row.failures
 
     def test_row_failure_is_isolated(self, monkeypatch):
@@ -258,6 +259,51 @@ class TestEvaluate:
             row = experiments.evaluate(model, ("localization", "wkb"))
             assert row.failures == {"localization": tag}
             assert set(row.splittings) == {"wkb"}
+
+
+class TestThirdFamily:
+    """A family defined outside the package, by the Model protocol alone."""
+
+    # t = ln xi; the barrier dU = xi - 1 - t is 2.05, 12, 100 and 704
+    @pytest.mark.parametrize("t, delta_u", [(-3.0, 2.0498), (-13.0, 12.0),
+                                            (-101.0, 100.0), (-705.0, 704.0)])
+    def test_razavy_well_has_its_closed_form_splitting(self, t, delta_u):
+        model = RazavyModel(t)
+        row = experiments.evaluate(model)
+        assert row.delta_u == pytest.approx(delta_u, abs=1e-4)
+        exact = row.splittings["exact"]
+        assert abs(exact / model.exact_splitting() - 1.0) <= 1e-13
+        # from dU ~ 40 on the bound meets exact to rounding
+        assert row.splittings["localization"] >= exact * (1.0 - 1e-15)
+        assert row.failures["wkb"].startswith("WkbInapplicableError")
+        assert (row.sigma, row.alpha, row.width, row.overlap) == (None,) * 4
+        assert set(row.failures) == {"wkb"}
+
+    def test_profiles_and_closed_forms(self):
+        # deltaV = x0^2 (sqrt rho)''/sqrt rho by five-point differences,
+        # its minimum below deltaV(0) by delta_v, and both curvatures
+        model = RazavyModel(-3.0)
+        x0 = model.x0
+        grid = np.linspace(-1.5 * x0, 1.5 * x0, 61)
+        u, dv = experiments.emit_profiles(model, grid)
+        assert (u.kind, dv.kind, u.label) == ("meanfield", "quantum",
+                                              "razavy t=-3")
+        assert u.values[[10, 50]] == pytest.approx(0.0, abs=1e-14)
+        h = 1e-3 * x0
+        psi = lambda y: np.exp(-0.5 * model.meanfield_potential(y))
+        lap = (-psi(grid + 2 * h) + 16 * psi(grid + h) - 30 * psi(grid)
+               + 16 * psi(grid - h) - psi(grid - 2 * h)) / (12 * h * h)
+        assert np.max(np.abs(x0**2 * lap / psi(grid) - dv.values)) \
+            <= 1e-6 * np.max(np.abs(dv.values))
+        scale = model.barrier_heights().delta_v
+        fine = np.linspace(0.0, 2.0 * x0, 400_001)
+        assert model.quantum_potential(0.0) - np.min(
+            model.quantum_potential(fine)) == pytest.approx(scale, rel=1e-9)
+        for at, curvature in ((x0, model.curvature_at_x0()),
+                              (0.0, model.curvature_at_origin())):
+            v = [model.quantum_potential(at + k * h) for k in (-2, -1, 0, 1, 2)]
+            fd = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+            assert x0**2 * fd == pytest.approx(curvature, rel=1e-6)
 
 
 class TestReducedCoordinate:
@@ -402,7 +448,7 @@ class TestProfiles:
         profiles = experiments.shape_family_profiles((0.30, 0.40), grid)
         for p, sigma in zip(profiles, (0.30, 0.40)):
             model = models.TwoGaussianModel(sigma=sigma)
-            dv = models.barrier_heights(model).delta_v
+            dv = model.barrier_heights().delta_v
             assert p.values[12] * dv == pytest.approx(
                 models.quantum_potential_closed(model, 0.0), rel=1e-12)
 

@@ -72,7 +72,7 @@ class TestLocalizationFunction:
         # row by row, the nodes run from 0 out to domain_halfwidth
         assert np.all(np.diff(g.ravel()) >= 0.0)
         assert np.all(g[:32] < 1.0)
-        assert np.all(g[32:] == 1.0)   # every node of [x_m, L]
+        assert np.all(g[32:] == 1.0)   # every node of [x0, L]
         assert i_value == pytest.approx(
             localization.splitting_localization(reference_view()).i_value,
             rel=1e-12)

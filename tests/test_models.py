@@ -45,9 +45,9 @@ class TestClosedForms:
     def test_reference_row_alpha_15(self):
         m = table_model(1.5)
         assert m.sigma == pytest.approx(0.3247, abs=5e-5)
-        h = models.barrier_heights(m)
+        h = m.barrier_heights()
         assert h.delta_u == pytest.approx(3.70, abs=0.005)
-        assert models.curvature_at_origin(m) == pytest.approx(-1124, abs=0.5)
+        assert m.curvature_at_origin() == pytest.approx(-1124, abs=0.5)
         assert models.curvature_at_minima(m) == pytest.approx(45.0, abs=1e-9)
         assert models.barrier_width(m) == pytest.approx(0.49, abs=0.005)
 
@@ -60,9 +60,16 @@ class TestClosedForms:
     @settings(max_examples=60, deadline=None)
     def test_barrier_relation_identity(self, sigma, alpha):
         m = models.TwoGaussianModel(sigma=sigma, alpha=alpha)
-        h = models.barrier_heights(m)
+        h = m.barrier_heights()
         assert h.delta_v == pytest.approx(
             (2.0 / alpha) * (h.delta_u + alpha * LN2) ** 2, rel=1e-12)
+
+    def test_module_names_are_the_two_gaussian_methods(self):
+        # the benchmark calls both by their module names
+        assert models.quantum_potential_closed is \
+            models.TwoGaussianModel.quantum_potential
+        assert models.curvature_at_minima is \
+            models.TwoGaussianModel.curvature_at_x0
 
     def test_superposition_coefficient(self):
         m = models.TwoGaussianModel(sigma=0.4, alpha=2.0)
@@ -77,20 +84,18 @@ class TestClosedForms:
         # paths, so equality is exact there too.  Elsewhere math.exp and
         # np.exp may differ by an ulp, so no other point is added.
         cases = [
-            (models.quantum_potential_closed, table_model(1.0),
-             np.linspace(-1.5, 1.5, 7)),
-            (models.quantum_potential_closed,
-             models.TwoGaussianModel(sigma=0.0353), [-1.5, -1.0, 1.0, 1.5]),
-            (models.quartic_quantum_potential,
-             models.QuarticMeanFieldModel(du=3.5, x0=1.3),
+            (table_model(1.0), np.linspace(-1.5, 1.5, 7)),
+            (models.TwoGaussianModel(sigma=0.0353), [-1.5, -1.0, 1.0, 1.5]),
+            (models.QuarticMeanFieldModel(du=3.5, x0=1.3),
              np.linspace(-2.0, 2.0, 41)),
         ]
-        for potential, m, xs in cases:
+        for m, xs in cases:
             xs = np.asarray(xs)
-            vec = potential(m, xs)
+            vec = m.quantum_potential(xs)
             assert vec.shape == xs.shape
             for x, v in zip(xs, vec):
-                for scalar in (potential(m, float(x)), potential(m, x)):
+                for scalar in (m.quantum_potential(float(x)),
+                               m.quantum_potential(x)):
                     assert type(scalar) is float
                     assert scalar == v
 
@@ -100,9 +105,9 @@ class TestBarrierWidth:
         m = table_model(2.0)
         w = models.barrier_width(m)
         level = (models.quantum_potential_closed(m, 0.0)
-                 - models.barrier_heights(m).delta_v / 2.0)
+                 - m.barrier_heights().delta_v / 2.0)
         assert models.quantum_potential_closed(m, w / 2.0) == pytest.approx(
-            level, abs=1e-8 * models.barrier_heights(m).delta_v)
+            level, abs=1e-8 * m.barrier_heights().delta_v)
 
     def test_width_grows_with_alpha(self):
         widths = [models.barrier_width(table_model(a))
@@ -113,7 +118,7 @@ class TestBarrierWidth:
         # close to the two-minimum limit the origin flattens out
         limit = models.two_minimum_alpha_limit(30.0)
         m = table_model(limit * 1.02)
-        assert models.curvature_at_origin(m) > 0
+        assert m.curvature_at_origin() > 0
         with pytest.raises(ValueError):
             models.barrier_width(m)
 
@@ -128,19 +133,19 @@ class TestTwoMinimumLimit:
         limit = models.two_minimum_alpha_limit(30.0)
         below = table_model(limit * 0.999)
         above = table_model(limit * 1.001)
-        assert models.curvature_at_origin(below) < 0
-        assert models.curvature_at_origin(above) > 0
+        assert below.curvature_at_origin() < 0
+        assert above.curvature_at_origin() > 0
 
     @pytest.mark.parametrize("delta_v", [16.005, 16.01, 16.5, 30.0])
     def test_first_sign_change_above_alpha_one(self, delta_v):
         # just above dV = 16 the curvature is positive on a narrow alpha
         # window only; the limit is where it first leaves the negative side
         limit = models.two_minimum_alpha_limit(delta_v)
-        curv = [models.curvature_at_origin(table_model(a, delta_v))
+        curv = [table_model(a, delta_v).curvature_at_origin()
                 for a in np.linspace(1.0, limit * (1.0 - 1e-6), 4001)]
         assert max(curv) < 0
-        assert models.curvature_at_origin(
-            table_model(limit * (1.0 + 1e-6), delta_v)) > 0
+        assert table_model(limit * (1.0 + 1e-6),
+                           delta_v).curvature_at_origin() > 0
 
     def test_limit_peaks_at_dv_16(self):
         # the largest limit sits at dV = 16, on the branch with b < 1
@@ -164,8 +169,7 @@ class TestSolveParameters:
         assert m.alpha == pytest.approx(2.0, abs=2e-3)
         assert m.sigma == pytest.approx(0.3021, abs=5e-5)
         assert models.barrier_width(m) == pytest.approx(0.64, rel=1e-10)
-        assert models.barrier_heights(m).delta_v == pytest.approx(30.0,
-                                                                  rel=1e-12)
+        assert m.barrier_heights().delta_v == pytest.approx(30.0, rel=1e-12)
 
     def test_unattainable_width_names_band(self):
         with pytest.raises(ValueError, match="attainable"):
@@ -188,7 +192,7 @@ class TestSolveParameters:
 class TestQuartic:
     def test_curvature_closed_form(self):
         m = models.QuarticMeanFieldModel(du=2.0)
-        assert models.quartic_curvature_at_origin(m) == pytest.approx(
+        assert m.curvature_at_origin() == pytest.approx(
             8.0 * 4.0 - 12.0 * 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("du", [0.5, 1.0, 3.5, 8.0, 12.0])
@@ -196,9 +200,9 @@ class TestQuartic:
         # reference: a bounded minimizer of deltaV over s in [0, 3]
         m = models.QuarticMeanFieldModel(du=du)
         found = minimize_scalar(
-            lambda s: models.quartic_quantum_potential(m, s),
+            m.quantum_potential,
             bounds=(0.0, 3.0), method="bounded", options={"xatol": 1e-12})
-        heights = models.quartic_barrier_heights(m)
+        heights = m.barrier_heights()
         assert heights.delta_u == du
         assert heights.delta_v == pytest.approx(2.0 * du - found.fun,
                                                 rel=1e-12)
@@ -208,22 +212,21 @@ class TestQuartic:
         # five-point second difference of deltaV(x0 s) at s = 1, at x0 = 2
         m = models.QuarticMeanFieldModel(du=du, x0=2.0)
         h = 1e-3
-        v = [models.quartic_quantum_potential(m, 2.0 * (1.0 + k * h))
+        v = [m.quantum_potential(2.0 * (1.0 + k * h))
              for k in (-2, -1, 0, 1, 2)]
         fd = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-        assert models.quartic_curvature_at_x0(m) == pytest.approx(fd,
-                                                                  rel=1e-8)
+        assert m.curvature_at_x0() == pytest.approx(fd, rel=1e-8)
 
     def test_quantum_barrier_top(self):
         # deltaV(0) = 2 dU in reduced units
         m = models.QuarticMeanFieldModel(du=5.0)
-        assert models.quartic_quantum_potential(m, 0.0) == pytest.approx(
+        assert m.quantum_potential(0.0) == pytest.approx(
             10.0, rel=1e-12)
 
     def test_meanfield_minima_at_x0(self):
         m = models.QuarticMeanFieldModel(du=3.0)
-        assert models.quartic_potential(m, 1.0) == 0.0
-        assert models.quartic_potential(m, 0.0) == pytest.approx(3.0)
+        assert m.meanfield_potential(1.0) == 0.0
+        assert m.meanfield_potential(0.0) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("du", [0.5, 3.5, 8.0, 12.0])
     def test_density_route_recovers_quantum_potential(self, du):
@@ -235,7 +238,7 @@ class TestQuartic:
         h = 1e-3
         lap = (-psi(x + 2 * h) + 16 * psi(x + h) - 30 * psi(x)
                + 16 * psi(x - h) - psi(x - 2 * h)) / (12 * h * h)
-        closed = models.quartic_quantum_potential(model, x)
+        closed = model.quantum_potential(x)
         assert np.max(np.abs(lap / psi(x) - closed)) <= \
             1e-6 * np.max(np.abs(closed))
 
@@ -247,7 +250,7 @@ class TestQuartic:
         for model in (quartic, two_gaussian):
             view = models.meanfield_view(model)
             half, rho, *_ = localization.discretize(view, 64)
-            nodes = np.linspace(0.0, view.x_m, 33)[:-1, None] + half[:32] * (
+            nodes = np.linspace(0.0, view.x0, 33)[:-1, None] + half[:32] * (
                 1.0 + numerics.NODES)
             assert 2.0 * np.sum(half * numerics.WEIGHTS * rho) == \
                 pytest.approx(1.0, rel=1e-14)
@@ -261,6 +264,6 @@ class TestMeanFieldViewDispatch:
     def test_dispatch_both_model_kinds(self):
         v1 = models.meanfield_view(table_model(1.0))
         v2 = models.meanfield_view(models.QuarticMeanFieldModel(du=2.0))
-        assert v1.x_m == v2.x_m == 1.0
+        assert v1.x0 == v2.x0 == 1.0
         with pytest.raises(TypeError):
             models.meanfield_view(object())

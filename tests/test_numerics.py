@@ -182,7 +182,7 @@ class TestFindRootBracketed:
             model = models.TwoGaussianModel(sigma=models.sigma_for_du(du),
                                             allow_out_of_range=True)
             level = (models.quantum_potential_closed(model, 0.0)
-                     - 0.5 * models.barrier_heights(model).delta_v)
+                     - 0.5 * model.barrier_heights().delta_v)
             calls = []
             found = numerics.find_root_bracketed(
                 lambda x: calls.append(x) or (
