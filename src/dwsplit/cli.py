@@ -41,26 +41,47 @@ SPLIT_COLUMNS = ("alpha", "sigma", "x0", "delta_u", "delta_v", "width",
                  "overlap", "splitting_exact", "splitting_localization",
                  "splitting_wkb", "failures")
 
-_FAMILY_TAGS = {
-    "simple-du": "simple_gaussian_dU",
-    "fixed-dv": "extended_fixed_dV",
-    "quartic-du": "quartic_dU",
+def _two_gaussian(a) -> models.TwoGaussianModel:
+    return models.TwoGaussianModel(sigma=a.sigma, x0=a.x0, alpha=a.alpha,
+                                   allow_out_of_range=a.allow_out_of_range)
+
+
+# Per mode of a command: the flags it needs, the others it reads of those
+# that some mode ignores (see _check_mode), and what the mode runs: the
+# model of split, the experiments.SWEEP_FAMILIES name of sweep, the
+# curves (args, grid) -> profiles of profile.
+_SPLIT_MODES = {
+    "--sigma": (("sigma",), ("alpha",), _two_gaussian),
+    "--dv/--width": (("dv", "width"), (), lambda a: models.solve_parameters(
+        a.dv, a.width, x0=a.x0, allow_out_of_range=a.allow_out_of_range)),
 }
-
-
-# Per sweep family and profile mode: the flags it needs, and the others it
-# reads of those that some mode ignores (see _check_mode).
 _SWEEP_MODES = {
-    "--family simple-du": (("du",), ("x0", "allow_out_of_range")),
-    "--family quartic-du": (("du",), ("x0",)),
-    "--family fixed-dv": (("dv", "alpha"), ("x0", "allow_out_of_range")),
+    "--family simple-du": (("du",), ("x0", "allow_out_of_range"),
+                           "simple_gaussian_dU"),
+    "--family fixed-dv": (("dv", "alpha"), ("x0", "allow_out_of_range"),
+                          "extended_fixed_dV"),
+    "--family quartic-du": (("du",), ("x0",), "quartic_dU"),
 }
 _PROFILE_MODES = {
-    "--family quartic-family": (("du_list",), ()),
-    "--family shape": (("sigma_list",), ("alpha", "allow_out_of_range")),
-    "--family fixed-dv": (("dv", "alpha_list"), ("allow_out_of_range",)),
-    "--quartic": (("du",), ("quartic", "x0")),
-    "--sigma": ((), ("sigma", "alpha", "x0", "allow_out_of_range")),
+    "--family quartic-family": (
+        ("du_list",), (),
+        lambda a, grid: experiments.quartic_family_profiles(a.du_list, grid)),
+    "--family shape": (
+        ("sigma_list",), ("alpha", "allow_out_of_range"),
+        lambda a, grid: experiments.shape_family_profiles(
+            a.sigma_list, grid, alpha=a.alpha,
+            allow_out_of_range=a.allow_out_of_range)),
+    "--family fixed-dv": (
+        ("dv", "alpha_list"), ("allow_out_of_range",),
+        lambda a, grid: experiments.fixed_dv_family_profiles(
+            a.dv, a.alpha_list, grid,
+            allow_out_of_range=a.allow_out_of_range)),
+    "--quartic": (("du",), ("quartic", "x0"),
+                  lambda a, grid: experiments.emit_profiles(
+                      models.QuarticMeanFieldModel(du=a.du, x0=a.x0), grid)),
+    "--sigma": ((), ("sigma", "alpha", "x0", "allow_out_of_range"),
+                lambda a, grid: experiments.emit_profiles(_two_gaussian(a),
+                                                          grid)),
 }
 
 
@@ -182,23 +203,10 @@ def _base_meta(command: str, **extra) -> dict:
 
 
 def cmd_split(args) -> int:
-    if (args.dv is None) != (args.width is None):
-        raise _usage_error("--dv and --width must be given together")
-    if args.dv is not None:
-        if args.sigma is not None:
-            raise _usage_error("give either --sigma or --dv/--width")
-        if args.alpha is not None:
-            raise _usage_error("--dv/--width solve for alpha; drop --alpha")
-        model = models.solve_parameters(args.dv, args.width, x0=args.x0,
-                                        allow_out_of_range=args.allow_out_of_range)
-    else:
-        if args.sigma is None:
-            raise _usage_error("need --sigma (with --alpha) or --dv/--width")
-        model = models.TwoGaussianModel(
-            sigma=args.sigma, x0=args.x0,
-            alpha=1.0 if args.alpha is None else args.alpha,
-            allow_out_of_range=args.allow_out_of_range)
-
+    mode = ("--sigma" if args.sigma is not None
+            else "--dv/--width" if (args.dv, args.width) != (None, None)
+            else None)
+    model = _check_mode(args, _SPLIT_MODES, mode)(args)
     row = experiments.evaluate(model, args.methods)
     meta = _base_meta("split")
     if args.format == "csv":
@@ -218,11 +226,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.family is None:
-        raise _usage_error("--family is required (simple-du, fixed-dv, "
-                           "quartic-du), via flag or config file")
-    _check_mode(args, _SWEEP_MODES, f"--family {args.family}")
-    family = _FAMILY_TAGS[args.family]
+    family = _check_mode(args, _SWEEP_MODES,
+                         args.family and f"--family {args.family}")
     swept, reads, _ = experiments.SWEEP_FAMILIES[family]
     start, stop, n = getattr(args, swept)
     fixed = {k: v for k, v in (("x0", args.x0), ("delta_v", args.dv))
@@ -261,35 +266,13 @@ def cmd_profile(args) -> int:
     if not start < stop:
         raise _usage_error("grid start must be below stop")
     grid = np.linspace(start, stop, n)
-    alpha = 1.0 if args.alpha is None else args.alpha
-    if args.family is not None:
-        mode = f"--family {args.family}"
-    elif args.quartic:
-        mode = "--quartic"
-    elif args.sigma is None:
-        raise _usage_error(
-            "need --sigma (two-Gaussian), --quartic --du, or --family")
-    else:
-        mode = "--sigma"
-    _check_mode(args, _PROFILE_MODES, mode)
+    mode = (f"--family {args.family}" if args.family
+            else "--quartic" if args.quartic
+            else "--sigma" if args.sigma is not None else None)
+    curves = _check_mode(args, _PROFILE_MODES, mode)
     # a curve that overflows is named by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.family == "quartic-family":
-            profiles = experiments.quartic_family_profiles(args.du_list, grid)
-        elif args.family == "shape":
-            profiles = experiments.shape_family_profiles(
-                args.sigma_list, grid, alpha=alpha,
-                allow_out_of_range=args.allow_out_of_range)
-        elif args.family == "fixed-dv":
-            profiles = experiments.fixed_dv_family_profiles(
-                args.dv, args.alpha_list, grid,
-                allow_out_of_range=args.allow_out_of_range)
-        else:
-            model = (models.QuarticMeanFieldModel(du=args.du, x0=args.x0)
-                     if args.quartic else models.TwoGaussianModel(
-                         sigma=args.sigma, x0=args.x0, alpha=alpha,
-                         allow_out_of_range=args.allow_out_of_range))
-            profiles = experiments.emit_profiles(model, grid)
+        profiles = curves(args, grid)
 
     meta = _base_meta("profile", grid=f"{start:g}:{stop:g}:{n}")
     for i, p in enumerate(profiles):
@@ -310,19 +293,22 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _check_mode(args, modes: dict, mode: str) -> None:
-    """Usage error for a flag that mode needs but that is at its default,
-    or for flags of the table that mode does not read but that are off
-    theirs.  The flags outside the table are read in every mode."""
-    defaults = vars(build_parser().parse_args([args.command]))
-    needs, reads = modes[mode]
+def _check_mode(args, modes: dict, mode: str | None):
+    """What modes[mode] runs, after the usage errors of the table: no mode
+    chosen, a flag that mode needs but that is at its default, or flags
+    of the table that mode does not read but that are off theirs.  The
+    flags outside the table are read in every mode."""
+    if mode is None:
+        raise _usage_error(f"{args.command} needs one of " + ", ".join(modes))
+    needs, reads, run = modes[mode]
     table = {k for flags in modes.values() for k in flags[0] + flags[1]}
-    given = {k for k in table if getattr(args, k) != defaults[k]}
+    given = {k for k in table if getattr(args, k) != args.default_of(k)}
     for problem, flags in (("requires", [k for k in needs if k not in given]),
                            ("does not read", sorted(given - {*needs, *reads}))):
         if flags:
             raise _usage_error(f"{mode} {problem} " + ", ".join(
                 "--" + k.replace("_", "-") for k in flags))
+    return run
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -351,7 +337,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     split = subs.add_parser("split", help="splitting of one model")
-    split.add_argument("--alpha", type=float, default=None,
+    split.add_argument("--alpha", type=float, default=1.0,
                        help="shape exponent with --sigma (default 1)")
     split.add_argument("--sigma", type=float, default=None,
                        help="Gaussian width in x0 units")
@@ -365,11 +351,12 @@ def build_parser():
                        help="comma list from exact,localization,wkb")
     split.add_argument("--allow-out-of-range", action="store_true")
     _add_common_output(split, "json")
-    split.set_defaults(func=cmd_split)
+    split.set_defaults(func=cmd_split, default_of=split.get_default)
 
     sweep = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
-    # not argparse-required so a config file may supply it; checked in cmd_sweep
-    sweep.add_argument("--family", choices=tuple(_FAMILY_TAGS), default=None)
+    # not argparse-required so a config file may supply it; see _check_mode
+    sweep.add_argument("--family", default=None, choices=[
+        mode.removeprefix("--family ") for mode in _SWEEP_MODES])
     sweep.add_argument("--du", type=_parse_range,
                        default=None, metavar="START:STOP:N",
                        help="dU range for simple-du / quartic-du")
@@ -384,7 +371,7 @@ def build_parser():
                        help="comma list from exact,localization,wkb")
     sweep.add_argument("--allow-out-of-range", action="store_true")
     _add_common_output(sweep, "csv")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, default_of=sweep.get_default)
 
     table = subs.add_parser("table1", help="fixed-dV parameter table")
     table.add_argument("--dv", type=float, default=experiments.TABLE1_DELTA_V)
@@ -399,7 +386,7 @@ def build_parser():
     profile.add_argument("--quartic", action="store_true",
                          help="quartic mean-field model (needs --du)")
     profile.add_argument("--du", type=float, default=None)
-    profile.add_argument("--alpha", type=float, default=None,
+    profile.add_argument("--alpha", type=float, default=1.0,
                          help="shape exponent of the two-Gaussian and "
                               "shape modes (default 1)")
     profile.add_argument("--sigma", type=float, default=None)
@@ -413,7 +400,7 @@ def build_parser():
     profile.add_argument("--dv", type=float, default=None)
     profile.add_argument("--allow-out-of-range", action="store_true")
     _add_common_output(profile, "csv")
-    profile.set_defaults(func=cmd_profile)
+    profile.set_defaults(func=cmd_profile, default_of=profile.get_default)
     return parser
 
 

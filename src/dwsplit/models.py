@@ -60,7 +60,7 @@ class BarrierHeights:
 class Model(Protocol):
     """What the package reads of a model; a new family is one class.
 
-    Closed forms of U (kT), deltaV (E_u) and x0^2 deltaV'' / E_u; the
+    Closed forms of U (kT), deltaV (E_u) and x0^2 deltaV''(x0) / E_u; the
     domain half-width and the view label; profile_extras(grid) -> (profile
     label, (kind, values) curves beside U and deltaV); and
     two_gaussian_columns() -> (sigma, alpha, width, overlap, failure) or None.
@@ -72,7 +72,6 @@ class Model(Protocol):
     def quantum_potential(self, x): ...
     def barrier_heights(self) -> BarrierHeights: ...
     def curvature_at_x0(self) -> float: ...
-    def curvature_at_origin(self) -> float: ...
     def domain_halfwidth(self) -> float: ...
     def label(self) -> str: ...
     def profile_extras(self, grid) -> tuple: ...
@@ -103,7 +102,9 @@ class TwoGaussianModel:
 
     Validity warnings (never fatal) are collected in ``validity_warnings``:
     appreciable well overlap (S >= 1e-3) and loss of the two-minimum shape
-    of the quantum potential (curvature_at_origin >= 0).
+    of the quantum potential (curvature_at_origin >= 0).  Parameters at
+    which a closed form (barrier heights, curvatures, overlap S) is not a
+    finite float raise ValueError.
     """
 
     sigma: float
@@ -130,11 +131,12 @@ class TwoGaussianModel:
             notes.append(
                 f"sigma/x0 = {ratio:.4g} exceeds {SIGMA_RATIO_MAX}; "
                 f"closed-form barrier expressions lose accuracy")
-        s = superposition_coefficient(self)
+        *_, curv0, s = _finite_closed_forms(self, ("sigma", "x0", "alpha"),
+                                            superposition_coefficient)
         if s >= SUPERPOSITION_WARN:
             notes.append(
                 f"well separation is marginal: S = {s:.3e} >= {SUPERPOSITION_WARN:g}")
-        if self.curvature_at_origin() >= 0.0:
+        if curv0 >= 0.0:
             notes.append(
                 "quantum potential has a third minimum at the origin "
                 "(curvature_at_origin >= 0)")
@@ -235,7 +237,9 @@ class TwoGaussianModel:
 class QuarticMeanFieldModel:
     """Quartic mean-field double well U(x) = dU * (1 - (x/x0)^2)^2.
 
-    dU is the mean-field barrier height in units of E_u.
+    dU is the mean-field barrier height in units of E_u.  Parameters at
+    which a closed form (barrier heights, curvatures) is not a finite float
+    raise ValueError.
     """
 
     du: float
@@ -246,6 +250,7 @@ class QuarticMeanFieldModel:
             raise ValueError(f"du must be positive and finite, got {self.du}")
         if not 0 < self.x0 < math.inf:
             raise ValueError(f"x0 must be positive and finite, got {self.x0}")
+        _finite_closed_forms(self, ("du", "x0"))
 
     def meanfield_potential(self, x):
         """U(x) = du (1 - (x/x0)^2)^2."""
@@ -299,6 +304,23 @@ class QuarticMeanFieldModel:
         return None
 
 
+def _finite_closed_forms(model, params: tuple[str, ...], *extra) -> list:
+    """delta_u, delta_v, the curvatures at x0 and at the origin and
+    f(model) for f in extra; ValueError naming params unless all are finite
+    floats (a float ``**`` raises where it overflows, a product gives inf)."""
+    try:
+        heights = model.barrier_heights()
+        values = [heights.delta_u, heights.delta_v, model.curvature_at_x0(),
+                  model.curvature_at_origin()] + [f(model) for f in extra]
+    except ArithmeticError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("the closed forms are not all finite floats at "
+                         + ", ".join(f"{name} = {getattr(model, name):g}"
+                                     for name in params))
+    return values
+
+
 # The two-Gaussian closed forms under their module names.
 quantum_potential_closed = TwoGaussianModel.quantum_potential
 curvature_at_minima = TwoGaussianModel.curvature_at_x0
@@ -329,10 +351,20 @@ class PotentialProfile:
     label: str = ""
 
 
+_MODEL_CLASSES: set[type] = set()
+
+
 def require_model(model) -> Model:
-    """model itself; TypeError when it lacks a member of ``Model``."""
-    if not isinstance(model, Model):
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    """model itself; TypeError when it lacks a member of ``Model``.
+
+    isinstance against the protocol collects its members on every call,
+    so it runs once per class: the classes that passed are remembered.
+    """
+    cls = type(model)
+    if cls not in _MODEL_CLASSES:
+        if not isinstance(model, Model):
+            raise TypeError(f"unsupported model type: {cls.__name__}")
+        _MODEL_CLASSES.add(cls)
     return model
 
 

@@ -99,6 +99,77 @@ class TestTopLevel:
             assert f"{name} must" in err or f"finite {name} " in err, argv
 
 
+# (argv, the one stderr line after "dwsplit: error: ")
+USAGE_ERRORS = [
+    (("split",), "split needs one of --sigma, --dv/--width"),
+    (("split", "--width", "0.6"), "--dv/--width requires --dv"),
+    (("split", "--dv", "30", "--width", "0.64", "--alpha", "2"),
+     "--dv/--width does not read --alpha"),
+    (("split", "--sigma", "0.3", "--dv", "30"),
+     "--sigma does not read --dv"),
+    (("sweep", "--du", "3:4:3"), "sweep needs one of --family simple-du, "
+                                 "--family fixed-dv, --family quartic-du"),
+    (("profile", "--grid", "0:1:3"),
+     "profile needs one of --family quartic-family, --family shape, "
+     "--family fixed-dv, --quartic, --sigma"),
+    (("profile", "--sigma", "0.3", "--grid", "1:0:3"),
+     "grid start must be below stop"),
+    (("profile", "--sigma", "0.3", "--grid", "1:1:3"),
+     "grid start must be below stop"),
+    (("profile", "--quartic", "--du", "0", "--grid", "0:1:3"),
+     "du must be positive and finite, got 0.0"),
+    (("profile", "--quartic", "--du", "5", "--x0", "-1", "--grid",
+      "0:1:3"), "x0 must be positive and finite, got -1.0"),
+    (("split", "--sigma", "1e-300"), "the closed forms are not all "
+     "finite floats at sigma = 1e-300, x0 = 1, alpha = 1"),
+    (("split", "--sigma", "0.3", "--x0", "1e300"), "the closed forms are "
+     "not all finite floats at sigma = 0.3, x0 = 1e+300, alpha = 1"),
+    (("sweep", "--family", "simple-du", "--du", "1e200:2e200:2"),
+     "the closed forms are not all finite floats at "
+     "sigma = 7.07107e-101, x0 = 1, alpha = 1"),
+    (("sweep", "--family", "quartic-du", "--du", "1e200:2e200:2"),
+     "the closed forms are not all finite floats at du = 1e+200, x0 = 1"),
+]
+
+
+class TestModeTables:
+    """Each command picks one mode of its table; the table's usage errors
+    and the constructors' parameter errors exit 1 with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+    def test_usage_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"dwsplit: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("profile", "--sigma", "0.3", "--grid", "0:1:1"),
+         "argument --grid: need n >= 2 points, got 1"),
+        (("sweep", "--family", "simple-du", "--du", "1:2"),
+         "argument --du: expected start:stop:n, got '1:2'"),
+        (("sweep", "--family", "simple-du", "--du", "1:2:x"),
+         "argument --du: invalid literal for int() with base 10: 'x'"),
+        (("profile", "--family", "quartic-family", "--du-list", "1,x",
+          "--grid", "0:1:3"),
+         "argument --du-list: could not convert string to float: 'x'"),
+    ], ids=["grid-n", "range-parts", "range-n", "float-list"])
+    def test_malformed_argument(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"dwsplit {argv[0]}: error: {message}"
+
+    @pytest.mark.parametrize("family, du", [("simple-du", "720:721:2"),
+                                            ("quartic-du", "750:751:2")])
+    def test_highest_barriers_fail_per_row(self, capsys, family, du):
+        # past dU = 700 rho_eq underflows: each row names it, the sweep ends
+        code, out, _ = run(capsys, "sweep", "--family", family, "--du", du,
+                           "--format", "json")
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert row["splitting_exact"] is None
+            assert all(f"{m}=NumericsError: " in row["failures"]
+                       for m in experiments.METHODS)
+
+
 class TestSplit:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "split", "--alpha", "1",
@@ -171,10 +242,10 @@ class TestSplit:
         code, _, err = run(capsys, "split", "--sigma", "0.3", "--dv", "30",
                            "--width", "0.64")
         assert code == 1
-        assert "either" in err
+        assert err == "dwsplit: error: --sigma does not read --dv, --width\n"
         code, _, err = run(capsys, "split", "--dv", "30")
         assert code == 1
-        assert "together" in err
+        assert err == "dwsplit: error: --dv/--width requires --width\n"
 
     def test_all_methods_failing_gives_code_2(self, capsys):
         # shallow barrier: WKB has no forbidden region at the ground level
@@ -504,6 +575,32 @@ class TestProfile:
         assert code == 1 and out == ""
         assert all(flag in err for flag in unread), err
 
+    def test_quartic_family_profiles(self, capsys):
+        code, out, _ = run(capsys, "profile", "--family", "quartic-family",
+                           "--du-list", "1,3", "--grid", "0:1:3",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["column.2"] == "quantum_over_dU (dU=3)"
+        # deltaV / dU = 4 dU s^2 (1 - s^2)^2 + 2 (1 - 3 s^2) at dU = 3
+        assert [r["quantum_over_dU[2]"] for r in doc["rows"]] == \
+            pytest.approx([2.0, 35.0 / 16.0, -4.0], rel=1e-12)
+
+    def test_shape_family_profiles(self, capsys):
+        code, out, _ = run(capsys, "profile", "--family", "shape",
+                           "--sigma-list", "0.3,0.4", "--alpha", "2",
+                           "--grid", "0:1.5:4", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        expect = experiments.shape_family_profiles((0.3, 0.4),
+                                                   [0.0, 0.5, 1.0, 1.5],
+                                                   alpha=2.0)
+        for i, p in enumerate(expect):
+            assert doc["meta"][f"column.{i + 1}"] == \
+                f"quantum_over_dV ({p.label})"
+            assert [r[f"quantum_over_dV[{i + 1}]"] for r in doc["rows"]] == \
+                pytest.approx(p.values, rel=1e-11)
+
     def test_family_flag_validation(self, capsys):
         code, _, err = run(capsys, "profile", "--family", "shape",
                            "--grid", "0:1:5")
@@ -570,6 +667,14 @@ class TestConfigFile:
             code, _, _ = run(capsys, "split", "--sigma", "0.9", "--methods",
                              "localization", "--config", str(cfg))
             assert code == expected, value
+
+    def test_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("family = simple-du\ndu 3:4:2\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == (f"dwsplit: error: {cfg}:2: expected key = value, "
+                       "got 'du 3:4:2\\n'\n")
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "simple-du",

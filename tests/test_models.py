@@ -1,6 +1,7 @@
 """Model-layer checks: closed forms, validity handling, inverse design."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,36 @@ class TestTwoGaussianModel:
             models.TwoGaussianModel(sigma=-0.1)
         with pytest.raises(ValueError):
             models.TwoGaussianModel(sigma=0.3, x0=0.0)
+
+
+class TestNonFiniteClosedForms:
+    """A closed form that is not a finite float is a ValueError naming the
+    parameters, not a bare ZeroDivisionError (sigma^2 underflows) or
+    OverflowError (a float ** overflows) from inside the constructor."""
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(sigma=1e-300), "sigma = 1e-300, x0 = 1, alpha = 1"),
+        (dict(sigma=0.3, x0=1e300), "sigma = 0.3, x0 = 1e+300, alpha = 1"),
+        (dict(sigma=0.5, alpha=1e300), "sigma = 0.5, x0 = 1, alpha = 1e+300"),
+        (dict(sigma=models.sigma_for_du(1e200)), "sigma = 7.07107e-101"),
+    ], ids=["sigma", "x0", "alpha", "du"])
+    def test_two_gaussian(self, kwargs, named):
+        with pytest.raises(ValueError, match=re.escape(
+                "closed forms are not all finite floats at " + named)):
+            models.TwoGaussianModel(**kwargs)
+
+    @pytest.mark.parametrize("du", [1e154, 1e200])
+    def test_quartic(self, du):
+        # du^2 overflows, and delta_v would be inf * 0 = nan
+        with pytest.raises(ValueError,
+                           match=re.escape(f"at du = {du:g}, x0 = 1") + "$"):
+            models.QuarticMeanFieldModel(du=du)
+
+    def test_highest_evaluated_barriers_are_accepted(self):
+        for model in (models.TwoGaussianModel(sigma=models.sigma_for_du(720.0)),
+                      models.QuarticMeanFieldModel(du=750.0)):
+            heights = model.barrier_heights()
+            assert math.isfinite(heights.delta_u + heights.delta_v)
 
 
 class TestClosedForms:
@@ -267,3 +298,18 @@ class TestMeanFieldViewDispatch:
         assert v1.x0 == v2.x0 == 1.0
         with pytest.raises(TypeError):
             models.meanfield_view(object())
+
+    def test_protocol_is_checked_once_per_class(self):
+        # Model lists only what generic code reads: no curvature_at_origin
+        class Bare:
+            x0 = 1.0
+            meanfield_potential = quantum_potential = staticmethod(abs)
+            barrier_heights = curvature_at_x0 = domain_halfwidth = label = \
+                profile_extras = two_gaussian_columns = staticmethod(abs)
+
+        assert models.require_model(bare := Bare()) is bare
+        assert Bare in models._MODEL_CLASSES
+        del Bare.label          # the class stays remembered as a model
+        assert models.require_model(bare) is bare
+        with pytest.raises(TypeError, match="unsupported model type: int"):
+            models.require_model(3)
