@@ -1,7 +1,8 @@
 """Command-line surface: split | sweep | table1 | profile.
 
-All I/O uses reduced units (lengths in x0, energies in E_u, mean-field
-potential in kT).  ``split`` and ``sweep`` serialize rows of
+All I/O uses reduced units: lengths in the unit that ``--x0`` is given in
+(x0 = 1 by default, so lengths in x0), energies in the E_u of that x0,
+mean-field potential in kT.  ``split`` and ``sweep`` serialize rows of
 ``experiments.evaluate`` as CSV (comma-separated, cells with a comma or a
 quote quoted, metadata in ``#``-prefixed lines, LF line endings) or JSON
 (``sweep``: "meta" and "rows"; ``split``: "meta", the row, its diagnostics
@@ -24,12 +25,15 @@ import numpy as np
 from . import __version__, experiments, models, numerics
 
 UNIT_NOTE = """\
-Reduced units: lengths in x0 (half the well separation), energies in
-E_u = hbar^2 / (2 m x0^2), mean-field potential U in kT.  For scale: a
+Reduced units: lengths in the unit that --x0 (half the well separation,
+default 1) is given in, energies in E_u = hbar^2 / (2 m x0^2), mean-field
+potential U in kT.  For scale: a
 hydrogen atom tunneling between wells 1 Angstrom apart (x0 = 0.5 A) has
 E_u ~ 0.8 kJ/mol ~ 67 cm^-1; splittings in E_u units translate
 accordingly.  The diffusion picture fixes m = hbar / (2 D).
 """
+
+X0_HELP = "half the well separation; all lengths share its unit (default 1)"
 
 SWEEP_COLUMNS = (
     "swept_value", "x0", "sigma", "alpha", "delta_u", "delta_v",
@@ -41,8 +45,10 @@ SPLIT_COLUMNS = ("alpha", "sigma", "x0", "delta_u", "delta_v", "width",
                  "overlap", "splitting_exact", "splitting_localization",
                  "splitting_wkb", "failures")
 
-def _two_gaussian(a) -> models.TwoGaussianModel:
-    return models.TwoGaussianModel(sigma=a.sigma, x0=a.x0, alpha=a.alpha,
+def _two_gaussian(a, **params) -> models.TwoGaussianModel:
+    """The model of the flags, with params in place of their values."""
+    return models.TwoGaussianModel(**{"sigma": a.sigma, "x0": a.x0,
+                                      "alpha": a.alpha, **params},
                                    allow_out_of_range=a.allow_out_of_range)
 
 
@@ -65,17 +71,21 @@ _SWEEP_MODES = {
 _PROFILE_MODES = {
     "--family quartic-family": (
         ("du_list",), (),
-        lambda a, grid: experiments.quartic_family_profiles(a.du_list, grid)),
+        lambda a, grid: experiments.quantum_profiles(
+            (models.QuarticMeanFieldModel(du=du) for du in a.du_list), grid,
+            "quantum_over_dU", lambda m: m.du, lambda m: f"dU={m.du:g}")),
     "--family shape": (
         ("sigma_list",), ("alpha", "allow_out_of_range"),
-        lambda a, grid: experiments.shape_family_profiles(
-            a.sigma_list, grid, alpha=a.alpha,
-            allow_out_of_range=a.allow_out_of_range)),
+        lambda a, grid: experiments.quantum_profiles(
+            (_two_gaussian(a, sigma=s) for s in a.sigma_list), grid,
+            "quantum_over_dV", lambda m: m.barrier_heights().delta_v,
+            lambda m: f"sigma/x0={m.sigma:g}")),
     "--family fixed-dv": (
         ("dv", "alpha_list"), ("allow_out_of_range",),
-        lambda a, grid: experiments.fixed_dv_family_profiles(
-            a.dv, a.alpha_list, grid,
-            allow_out_of_range=a.allow_out_of_range)),
+        lambda a, grid: experiments.quantum_profiles(
+            (_two_gaussian(a, sigma=models.sigma_for_delta_v(a.dv, al),
+                           alpha=al) for al in a.alpha_list), grid,
+            "quantum", lambda m: 1.0, lambda m: f"alpha={m.alpha:g}")),
     "--quartic": (("du",), ("quartic", "x0"),
                   lambda a, grid: experiments.emit_profiles(
                       models.QuarticMeanFieldModel(du=a.du, x0=a.x0), grid)),
@@ -173,8 +183,9 @@ def _sweep_row_record(row: experiments.SweepRow) -> dict:
 
 
 def _emit(args, columns, records, meta) -> None:
-    """Serialize records to args.output (or stdout) in args.format."""
-    if args.format == "csv":
+    """Serialize records to args.output (or stdout) in args.format: JSON
+    for "json", else (table1 without --format too) CSV."""
+    if args.format != "json":
         lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
         lines.append(",".join(columns))
         lines.extend(",".join(_csv_cell(rec[c]) for c in columns)
@@ -245,7 +256,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    if args.output is None and not args.serialize:
+    if (args.format, args.output, args.serialize) == (None, None, False):
         print(experiments.table1(args.dv))
         return 0
     rows = experiments.table1_rows(args.dv)
@@ -316,7 +327,7 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(1)
 
 
-def _add_common_output(sub, default_format: str) -> None:
+def _add_common_output(sub, default_format: str | None) -> None:
     sub.add_argument("-o", "--output", default=None,
                      help="output file (stdout when omitted)")
     sub.add_argument("--format", choices=("csv", "json"),
@@ -340,12 +351,13 @@ def build_parser():
     split.add_argument("--alpha", type=float, default=1.0,
                        help="shape exponent with --sigma (default 1)")
     split.add_argument("--sigma", type=float, default=None,
-                       help="Gaussian width in x0 units")
-    split.add_argument("--x0", type=float, default=1.0)
+                       help="Gaussian width, in the unit of --x0")
+    split.add_argument("--x0", type=float, default=1.0, help=X0_HELP)
     split.add_argument("--dv", type=float, default=None,
                        help="target quantum barrier height (with --width)")
     split.add_argument("--width", type=float, default=None,
-                       help="target barrier width in x0 units (with --dv)")
+                       help="target barrier width, in the unit of --x0 "
+                            "(with --dv)")
     split.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                        default=experiments.METHODS,
                        help="comma list from exact,localization,wkb")
@@ -365,7 +377,7 @@ def build_parser():
                        help="alpha range for fixed-dv")
     sweep.add_argument("--dv", type=float, default=None,
                        help="fixed quantum barrier height for fixed-dv")
-    sweep.add_argument("--x0", type=float, default=1.0)
+    sweep.add_argument("--x0", type=float, default=1.0, help=X0_HELP)
     sweep.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                        default=experiments.METHODS,
                        help="comma list from exact,localization,wkb")
@@ -376,21 +388,25 @@ def build_parser():
     table = subs.add_parser("table1", help="fixed-dV parameter table")
     table.add_argument("--dv", type=float, default=experiments.TABLE1_DELTA_V)
     table.add_argument("--serialize", action="store_true",
-                       help="emit CSV/JSON instead of the formatted table")
-    _add_common_output(table, "csv")
+                       help="emit CSV/JSON instead of the formatted table "
+                            "(so do -o and --format)")
+    _add_common_output(table, None)
     table.set_defaults(func=cmd_table1)
 
     profile = subs.add_parser("profile", help="potential profiles on a grid")
     profile.add_argument("--grid", type=_parse_range, default=None,
-                         metavar="START:STOP:N")
+                         metavar="START:STOP:N",
+                         help="N points of x from START to STOP, in the "
+                              "unit of --x0")
     profile.add_argument("--quartic", action="store_true",
                          help="quartic mean-field model (needs --du)")
     profile.add_argument("--du", type=float, default=None)
     profile.add_argument("--alpha", type=float, default=1.0,
                          help="shape exponent of the two-Gaussian and "
                               "shape modes (default 1)")
-    profile.add_argument("--sigma", type=float, default=None)
-    profile.add_argument("--x0", type=float, default=1.0)
+    profile.add_argument("--sigma", type=float, default=None,
+                         help="Gaussian width, in the unit of --x0")
+    profile.add_argument("--x0", type=float, default=1.0, help=X0_HELP)
     profile.add_argument("--family",
                          choices=("quartic-family", "shape", "fixed-dv"),
                          default=None)

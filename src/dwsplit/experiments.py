@@ -1,4 +1,4 @@
-"""Numerical studies bundled as parameter sweeps and profile families.
+"""Numerical studies bundled as parameter sweeps and potential profiles.
 
 Three sweep families cover the standard studies:
 
@@ -23,9 +23,10 @@ builds the model of each swept value and calls it, and so does ``dwsplit
 split`` for its single model, so one pathological row cannot abort a long
 sweep and both commands report the same numbers.
 
-The sigma/x0 band is checked only by the ``TwoGaussianModel`` constructor;
-sigma falls as the swept value grows, so a sweep that leaves the band
-fails on its first row, before any method runs.
+The sigma/x0 band and the finiteness of the closed forms are checked only
+by the model constructors.  ``SweepSpec`` builds the models at both ends
+of its range, so a range that leaves either is refused before any row is
+evaluated.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ import numpy as np
 
 from . import exact, models, numerics, wkb
 
-# family -> (swept parameter, fixed keys read (x0 optional), build)
+# family -> (swept parameter, fixed keys read (x0 optional), build).  In
+# each family sigma falls and the closed forms grow with the swept value,
+# so SweepSpec builds the models at both ends of its range and no other.
 SWEEP_FAMILIES = {
     "simple_gaussian_dU": ("du", ("x0",), lambda v, x0, fixed, allow: (
         models.TwoGaussianModel(sigma=models.sigma_for_du(v, x0), x0=x0,
@@ -107,8 +110,16 @@ class SweepSpec:
         unread = sorted(set(self.fixed) - set(reads))
         if unread:
             raise ValueError(f"{self.family} does not read fixed{unread}")
+        for end in (self.start, self.stop):
+            self.model_at(float(end))
+
     def swept_values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
+
+    def model_at(self, value: float) -> models.Model:
+        build = SWEEP_FAMILIES[self.family][2]
+        return build(value, float(self.fixed.get("x0", 1.0)), self.fixed,
+                     self.allow_out_of_range)
 
 
 @dataclass(frozen=True)
@@ -228,13 +239,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     map instead of aborting the sweep; the row keeps whatever other
     methods produced.
     """
-    x0 = float(spec.fixed.get("x0", 1.0))
-    build = SWEEP_FAMILIES[spec.family][2]
-    rows: list[SweepRow] = []
-    for value in map(float, spec.swept_values()):
-        model = build(value, x0, spec.fixed, spec.allow_out_of_range)
-        rows.append(replace(evaluate(model, spec.methods), swept_value=value))
-    return rows
+    return [replace(evaluate(spec.model_at(value), spec.methods),
+                    swept_value=value)
+            for value in map(float, spec.swept_values())]
 
 
 def default_du_sweep() -> SweepSpec:
@@ -304,14 +311,20 @@ def table1(delta_v: float = TABLE1_DELTA_V) -> str:
     return "\n".join(lines)
 
 
+def _profile_grid(grid: Iterable[float]) -> np.ndarray:
+    """grid as a float array; ValueError unless it is strictly increasing."""
+    grid = np.asarray(list(grid), dtype=float)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
 def emit_profiles(model: models.Model,
                   grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
     """U, deltaV and the family's companion curves (the two-Gaussian well
     parabolas) on grid, under the model's profile label."""
     model = models.require_model(model)
-    grid = np.asarray(list(grid), dtype=float)
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
+    grid = _profile_grid(grid)
     label, extras = model.profile_extras(grid)
     curves = (("meanfield", model.meanfield_potential(grid)),
               ("quantum", model.quantum_potential(grid)), *extras)
@@ -319,45 +332,9 @@ def emit_profiles(model: models.Model,
                  for kind, values in curves)
 
 
-def _quantum_profiles(family, grid, kind, scale, label):
-    """deltaV / scale(model) on grid for each model of family."""
-    grid = np.asarray(list(grid), dtype=float)
+def quantum_profiles(family, grid, kind, scale, label):
+    """deltaV / scale(model) on grid for each model of family: one
+    PotentialProfile each, under kind and label(model)."""
+    grid = _profile_grid(grid)
     return tuple(models.PotentialProfile(m.quantum_potential(grid) / scale(m),
                                          kind, label(m)) for m in family)
-
-
-def quartic_family_profiles(
-        du_values: Sequence[float],
-        grid: Iterable[float]) -> tuple[models.PotentialProfile, ...]:
-    """Quantum potentials of the quartic family, scaled by dU per curve."""
-    return _quantum_profiles(
-        (models.QuarticMeanFieldModel(du=du) for du in du_values), grid,
-        "quantum_over_dU", lambda m: m.du, lambda m: f"dU={m.du:g}")
-
-
-def shape_family_profiles(
-        sigma_values: Sequence[float],
-        grid: Iterable[float],
-        alpha: float = 1.0,
-        allow_out_of_range: bool = False) -> tuple[models.PotentialProfile, ...]:
-    """Quantum potentials at varying sigma, each scaled by its own dV."""
-    return _quantum_profiles(
-        (models.TwoGaussianModel(sigma=sigma, alpha=alpha,
-                                 allow_out_of_range=allow_out_of_range)
-         for sigma in sigma_values), grid, "quantum_over_dV",
-        lambda m: m.barrier_heights().delta_v,
-        lambda m: f"sigma/x0={m.sigma:g}")
-
-
-def fixed_dv_family_profiles(
-        delta_v: float,
-        alphas: Sequence[float],
-        grid: Iterable[float],
-        allow_out_of_range: bool = False) -> tuple[models.PotentialProfile, ...]:
-    """Quantum potentials of the fixed-dV family, one curve per alpha."""
-    return _quantum_profiles(
-        (models.TwoGaussianModel(sigma=models.sigma_for_delta_v(delta_v, alpha),
-                                 alpha=alpha,
-                                 allow_out_of_range=allow_out_of_range)
-         for alpha in alphas), grid, "quantum", lambda m: 1.0,
-        lambda m: f"alpha={m.alpha:g}")

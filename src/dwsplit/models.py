@@ -131,8 +131,8 @@ class TwoGaussianModel:
             notes.append(
                 f"sigma/x0 = {ratio:.4g} exceeds {SIGMA_RATIO_MAX}; "
                 f"closed-form barrier expressions lose accuracy")
-        *_, curv0, s = _finite_closed_forms(self, ("sigma", "x0", "alpha"),
-                                            superposition_coefficient)
+        *_, curv0 = _finite_closed_forms(self, ("sigma", "x0", "alpha"))
+        s = superposition_coefficient(self)
         if s >= SUPERPOSITION_WARN:
             notes.append(
                 f"well separation is marginal: S = {s:.3e} >= {SUPERPOSITION_WARN:g}")
@@ -304,14 +304,14 @@ class QuarticMeanFieldModel:
         return None
 
 
-def _finite_closed_forms(model, params: tuple[str, ...], *extra) -> list:
-    """delta_u, delta_v, the curvatures at x0 and at the origin and
-    f(model) for f in extra; ValueError naming params unless all are finite
-    floats (a float ``**`` raises where it overflows, a product gives inf)."""
+def _finite_closed_forms(model, params: tuple[str, ...]) -> list:
+    """delta_u, delta_v and the curvatures at x0 and at the origin;
+    ValueError naming params unless all are finite floats (a float ``**``
+    raises where it overflows, a product gives inf)."""
     try:
         heights = model.barrier_heights()
         values = [heights.delta_u, heights.delta_v, model.curvature_at_x0(),
-                  model.curvature_at_origin()] + [f(model) for f in extra]
+                  model.curvature_at_origin()]
     except ArithmeticError:
         values = [math.nan]
     if not all(map(math.isfinite, values)):
@@ -376,8 +376,10 @@ def meanfield_view(model: Model) -> MeanFieldView:
 
 
 def superposition_coefficient(model: TwoGaussianModel) -> float:
-    """Well-overlap measure S = exp(-2 x0^2 / (alpha sigma^2))."""
-    return math.exp(-2.0 * model.x0**2 / (model.alpha * model.sigma**2))
+    """Well-overlap measure S = exp(-2 x0^2 / (alpha sigma^2)), from the
+    x0^2 / sigma^2 of barrier_heights: right wherever they are finite,
+    where alpha sigma^2 or 2 x0^2 alone may overflow."""
+    return math.exp(-2.0 * (model.x0**2 / model.sigma**2) / model.alpha)
 
 
 def barrier_width(model: TwoGaussianModel) -> float:
@@ -457,9 +459,10 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
     where deltaV(x0) reaches the half-height level (the lower of the two
     at dV <= 16).  Raises ValueError, quoting the band, outside it.
     """
-    for name, value in (("delta_v", delta_v), ("width", width)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    # two_minimum_alpha_limit checks delta_v, before width is checked
+    alpha_hi = two_minimum_alpha_limit(delta_v) * (1.0 - 1e-9)
+    if not 0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
 
     def model_at(alpha: float) -> TwoGaussianModel:
         return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),
@@ -470,7 +473,6 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
         return m.quantum_potential(x0) - (m.quantum_potential(0.0)
                                           - 0.5 * m.barrier_heights().delta_v)
 
-    alpha_hi = two_minimum_alpha_limit(delta_v) * (1.0 - 1e-9)
     if floor_above_level(alpha_hi) >= 0.0:
         alpha_hi = numerics.find_root_bracketed(
             floor_above_level, 1.0, alpha_hi, tol=1e-12) * (1.0 - 1e-9)

@@ -8,10 +8,13 @@ sums, and the Green's-operator oracle runs power iteration on trapezoid
 sums over a uniform grid.  Tests compare package results against these
 alternate routes.  `running_integral` is the reference for the package's
 panel matrices: their cumulative form written out, one direction at a time.
+`read_profile_output` parses what `dwsplit profile` prints, for the golden
+profile file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,25 @@ def running_integral(f, half, reverse=False):
     whole = part[::-1, -1] if reverse else part[:, -1]
     before = np.concatenate([[0.0], np.cumsum(whole[:-1])])
     return part[:, :-1] + (before[::-1] if reverse else before)[:, None]
+
+
+def read_profile_output(text: str):
+    """(meta without "version", header, rows of floats) of profile's CSV or
+    JSON output."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        header = list(doc["rows"][0])
+        meta = doc["meta"]
+        rows = [[float(r[c]) for c in header] for r in doc["rows"]]
+    else:
+        lines = text.splitlines()
+        meta = dict(line[2:].split(" = ", 1) for line in lines
+                    if line.startswith("# "))
+        body = [line for line in lines if not line.startswith("# ")]
+        header = body[0].split(",")
+        rows = [[float(v) for v in line.split(",")] for line in body[1:]]
+    meta = {k: v for k, v in meta.items() if k != "version"}
+    return meta, header, rows
 
 
 def fd_lowest(delta_v, halfwidth: float = 4.0, n: int = 100_000,

@@ -8,9 +8,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from helpers import read_profile_output
 
 from dwsplit import cli, experiments, models
+
+GOLDEN_PROFILES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "profiles.json").read_text())
 
 
 def run(capsys, *argv):
@@ -331,6 +336,22 @@ class TestTable:
         assert doc["rows"][0]["sigma_over_x0"] == pytest.approx(0.3593,
                                                                 abs=5e-5)
 
+    def test_format_serializes(self, capsys):
+        code, out, _ = run(capsys, "table1", "--format", "json")
+        assert code == 0
+        assert out == run(capsys, "table1", "--serialize", "--format",
+                          "json")[1]
+        assert len(json.loads(out)["rows"]) == 5
+        code, out, _ = run(capsys, "table1", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-6].startswith("alpha,sigma_over_x0,")
+
+    def test_output_file_is_csv(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        code, out, _ = run(capsys, "table1", "-o", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text().splitlines()[-1].startswith("3,")
+
 
 class TestSweep:
     def test_requires_family(self, capsys):
@@ -376,6 +397,21 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert all(r["splitting_exact"] > 0 and not r["failures"]
                    for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "simple-du", "--du", "1:1e160:3",
+         "--allow-out-of-range"),
+        ("--family", "quartic-du", "--du", "1:1e200:3"),
+        ("--family", "fixed-dv", "--dv", "30", "--alpha", "1:1e300:3"),
+    ], ids=["simple-du", "quartic-du", "fixed-dv"])
+    def test_range_past_the_closed_forms_evaluates_no_row(
+            self, capsys, monkeypatch, argv):
+        def evaluate(*args):
+            raise AssertionError("a row was evaluated")
+        monkeypatch.setattr(experiments, "evaluate", evaluate)
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 1 and out == ""
+        assert "closed forms are not all finite" in err
 
     def test_quartic_family(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "quartic-du",
@@ -592,20 +628,51 @@ class TestProfile:
                            "--grid", "0:1.5:4", "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        expect = experiments.shape_family_profiles((0.3, 0.4),
-                                                   [0.0, 0.5, 1.0, 1.5],
-                                                   alpha=2.0)
-        for i, p in enumerate(expect):
+        grid = np.array([0.0, 0.5, 1.0, 1.5])
+        for i, sigma in enumerate((0.3, 0.4)):
+            model = models.TwoGaussianModel(sigma=sigma, alpha=2.0)
+            expect = (models.quantum_potential_closed(model, grid)
+                      / model.barrier_heights().delta_v)
             assert doc["meta"][f"column.{i + 1}"] == \
-                f"quantum_over_dV ({p.label})"
+                f"quantum_over_dV (sigma/x0={sigma:g})"
             assert [r[f"quantum_over_dV[{i + 1}]"] for r in doc["rows"]] == \
-                pytest.approx(p.values, rel=1e-11)
+                pytest.approx(expect, rel=1e-11)
 
     def test_family_flag_validation(self, capsys):
         code, _, err = run(capsys, "profile", "--family", "shape",
                            "--grid", "0:1:5")
         assert code == 1
         assert "sigma-list" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "quartic-family", "--du-list", "5"),
+        ("--family", "shape", "--sigma-list", "0.3"),
+        ("--family", "fixed-dv", "--dv", "30", "--alpha-list", "1"),
+        ("--quartic", "--du", "5"),
+        ("--sigma", "0.3"),
+    ], ids=["quartic-family", "shape", "fixed-dv", "quartic", "sigma"])
+    def test_every_mode_refuses_a_degenerate_grid(self, capsys, argv):
+        # start < stop, but linspace rounds the five points onto two values
+        code, out, err = run(capsys, "profile", *argv,
+                             "--grid", "1:1.0000000000000002:5")
+        assert code == 1 and out == ""
+        assert "grid must be strictly increasing" in err
+
+    @pytest.mark.parametrize(
+        "entry", GOLDEN_PROFILES["commands"],
+        ids=[" ".join(e["argv"]) for e in GOLDEN_PROFILES["commands"]])
+    def test_reproduces_golden(self, capsys, entry):
+        code, out, _ = run(capsys, "profile", *entry["argv"])
+        assert code == entry["exit_code"]
+        if code:
+            assert out == ""
+            return
+        meta, header, values = read_profile_output(out)
+        assert meta == entry["meta"]
+        assert header == entry["header"]
+        assert len(values) == len(entry["values"])
+        for row, ref in zip(values, entry["values"]):
+            assert row == pytest.approx(ref, rel=1e-11)
 
 
 class TestConfigFile:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dwsplit import experiments, localization, models, numerics
+from dwsplit import cli, experiments, localization, models, numerics
 from helpers import RazavyModel
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -57,13 +57,13 @@ class TestSweepSpecValidation:
 
     def test_out_of_band_range_rejected(self, monkeypatch):
         # dU = 1 puts sigma/x0 above the validated 0.5 cap; sigma falls
-        # with dU, so the model of the first row already refuses it
+        # with dU, so the spec's model at its start already refuses it
         calls = []
         monkeypatch.setattr(experiments, "evaluate",
                             lambda *args: calls.append(args))
-        spec = experiments.SweepSpec("simple_gaussian_dU", 1.0, 12.0, 40)
         with pytest.raises(ValueError, match="validated range"):
-            experiments.run_sweep(spec)
+            experiments.run_sweep(
+                experiments.SweepSpec("simple_gaussian_dU", 1.0, 12.0, 40))
         assert calls == []
 
     @pytest.mark.parametrize("family, fixed, key", [
@@ -435,9 +435,16 @@ class TestProfiles:
                 assert abs((diff[3] - diff[1]) / (2 * h)) < tols[1] * scale
                 assert abs((diff[4] - 2 * diff[2] + diff[0]) / h**2) < tols[2] * scale
 
+    @staticmethod
+    def family_profiles(grid, *argv):
+        """The curves of one `profile --family` mode, from its cli table."""
+        args = cli.build_parser().parse_args(["profile", *argv])
+        return cli._PROFILE_MODES[f"--family {args.family}"][2](args, grid)
+
     def test_quartic_family_scaling(self):
         grid = np.linspace(-1.2, 1.2, 25)
-        profiles = experiments.quartic_family_profiles((0.5, 5.0), grid)
+        profiles = self.family_profiles(grid, "--family", "quartic-family",
+                                        "--du-list", "0.5,5")
         assert all(p.kind == "quantum_over_dU" for p in profiles)
         # scaled curves all pass through 2 at the origin
         for p in profiles:
@@ -445,7 +452,8 @@ class TestProfiles:
 
     def test_shape_family_scaling(self):
         grid = np.linspace(-1.2, 1.2, 25)
-        profiles = experiments.shape_family_profiles((0.30, 0.40), grid)
+        profiles = self.family_profiles(grid, "--family", "shape",
+                                        "--sigma-list", "0.3,0.4")
         for p, sigma in zip(profiles, (0.30, 0.40)):
             model = models.TwoGaussianModel(sigma=sigma)
             dv = model.barrier_heights().delta_v
@@ -454,8 +462,8 @@ class TestProfiles:
 
     def test_fixed_dv_family_labels(self):
         grid = np.linspace(-1.2, 1.2, 9)
-        profiles = experiments.fixed_dv_family_profiles(
-            30.0, (1.0, 2.0, 3.0), grid)
+        profiles = self.family_profiles(grid, "--family", "fixed-dv",
+                                        "--dv", "30", "--alpha-list", "1,2,3")
         assert [p.label for p in profiles] == ["alpha=1", "alpha=2", "alpha=3"]
         assert all(p.kind == "quantum" for p in profiles)
 

@@ -63,6 +63,18 @@ class TestNonFiniteClosedForms:
                            match=re.escape(f"at du = {du:g}, x0 = 1") + "$"):
             models.QuarticMeanFieldModel(du=du)
 
+    @pytest.mark.parametrize("x0, sigma, alpha", [
+        (1e154, 1e116, 1e77),     # alpha sigma^2 and 2 x0^2 overflow
+        (1e154, 3e153, 1.0),      # 2 x0^2 overflows
+        (5e153, 5e115, 1e77),     # alpha sigma^2 overflows
+    ])
+    def test_overlap_is_right_where_the_heights_are_finite(self, x0, sigma,
+                                                           alpha):
+        m = models.TwoGaussianModel(sigma=sigma, x0=x0, alpha=alpha)
+        expected = math.exp(-2.0 * (x0 / sigma) ** 2 / alpha)
+        assert models.superposition_coefficient(m) == pytest.approx(
+            expected, rel=1e-12)
+
     def test_highest_evaluated_barriers_are_accepted(self):
         for model in (models.TwoGaussianModel(sigma=models.sigma_for_du(720.0)),
                       models.QuarticMeanFieldModel(du=750.0)):
