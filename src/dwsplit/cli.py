@@ -57,9 +57,13 @@ def _two_gaussian(a, **params) -> models.TwoGaussianModel:
 # model of split, the experiments.SWEEP_FAMILIES name of sweep, the
 # curves (args, grid) -> profiles of profile.
 _SPLIT_MODES = {
-    "--sigma": (("sigma",), ("alpha",), _two_gaussian),
-    "--dv/--width": (("dv", "width"), (), lambda a: models.solve_parameters(
-        a.dv, a.width, x0=a.x0, allow_out_of_range=a.allow_out_of_range)),
+    "--quartic": (("du",), ("quartic",), lambda a: models.QuarticMeanFieldModel(
+        du=a.du, x0=a.x0)),
+    "--sigma": (("sigma",), ("alpha", "allow_out_of_range"), _two_gaussian),
+    "--dv/--width": (("dv", "width"), ("allow_out_of_range",),
+                     lambda a: models.solve_parameters(
+                         a.dv, a.width, x0=a.x0,
+                         allow_out_of_range=a.allow_out_of_range)),
 }
 _SWEEP_MODES = {
     "--family simple-du": (("du",), ("x0", "allow_out_of_range"),
@@ -214,7 +218,8 @@ def _base_meta(command: str, **extra) -> dict:
 
 
 def cmd_split(args) -> int:
-    mode = ("--sigma" if args.sigma is not None
+    mode = ("--quartic" if args.quartic
+            else "--sigma" if args.sigma is not None
             else "--dv/--width" if (args.dv, args.width) != (None, None)
             else None)
     model = _check_mode(args, _SPLIT_MODES, mode)(args)
@@ -358,6 +363,10 @@ def build_parser():
     split.add_argument("--width", type=float, default=None,
                        help="target barrier width, in the unit of --x0 "
                             "(with --dv)")
+    split.add_argument("--quartic", action="store_true",
+                       help="quartic mean-field model (needs --du)")
+    split.add_argument("--du", type=float, default=None,
+                       help="mean-field barrier height of --quartic, in kT")
     split.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                        default=experiments.METHODS,
                        help="comma list from exact,localization,wkb")

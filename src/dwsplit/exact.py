@@ -8,12 +8,13 @@ eigenvalue in the odd sector is the splitting.  Its inverse K is the
 flux-over-population double integral (Haenggi, Talkner & Borkovec, Rev.
 Mod. Phys. 62, 251, 1990).  K acts on the density discretization of the
 localization estimate: each step of `localization.discretizations` gives
-rho, 1/rho, the panel integrals of 1/rho and g on the panel nodes.  One
-sweep applies both integrals with the panel matrices `numerics.FORWARD`
-and `numerics.REVERSE`, the inner one summed from L inwards, and adds
-only terms that are >= 0, so K phi keeps its relative accuracy in the
-tail.  The localization estimate is the Rayleigh quotient of g, so
-inverse iteration from g only improves on it; the one pass returns both.
+rho, 1/rho and g on the panel nodes.  One sweep applies both integrals:
+the inner one, t + a, with the panel matrix `numerics.REVERSE`, summed
+from L inwards, and the outer one, the integral of (1/rho)(t + a), in one
+product with `numerics.FORWARD`.  It adds only terms that are >= 0, so
+K phi keeps its relative accuracy in the tail.  The localization estimate
+is the Rayleigh quotient of g, so inverse iteration from g only improves
+on it; the one pass returns both.
 Later panel counts start from g plus the coarser count's correction
 (nested iteration, Brandt, Math. Comp. 31, 333, 1977).
 
@@ -161,30 +162,30 @@ class GreenSplittingResult:
     localization: localization.LocalizationResult | None
 
 
-def _inverse_iteration(view: MeanFieldView, half, rho, inv, part, phi):
+def _inverse_iteration(view: MeanFieldView, half, rho, inv, phi):
     """(value, bracket, iterations, settled, next phi) of K from phi."""
     rho_half, inv_half = half * rho, half * inv / view.x0**2
     rho_w = half * numerics.WEIGHTS * rho
     # K phi in one sweep: the inner integral is t, the rest of the node's
     # panel, plus a, the whole panels beyond summed from L inwards; the
-    # outer one is u, the running integral of t/rho, plus a times c = part,
-    # that of 1/rho, plus b, the whole panels before.  No term is negative.
-    c = part / view.x0**2
+    # outer one is u, the running integral of (t + a)/rho in one FORWARD
+    # product, plus b, the whole panels before.  No term is negative.
     a, b = np.zeros(len(half)), np.zeros(len(half))
-    floor = np.sqrt(np.finfo(float).eps)
+    floor = 2.0**-26  # the square root of the float spacing at 1
     for iteration in range(1, _GREEN_ITERATIONS + 1):
         t = (rho_half * phi) @ numerics.REVERSE
-        np.cumsum(t[:0:-1, -1], out=a[-2::-1])
-        u = (inv_half * t[:, :-1]) @ numerics.FORWARD + a[:, None] * c
-        np.cumsum(u[:-1, -1], out=b[1:])
+        np.add.accumulate(t[:0:-1, -1], out=a[-2::-1])
+        u = (inv_half * (t[:, :-1] + a[:, None])) @ numerics.FORWARD
+        np.add.accumulate(u[:-1, -1], out=b[1:])
         psi = u[:, :-1] + b[:, None]
         # next to phi(0) = 0 the ratio is one of two tiny numbers; such
         # nodes are left out so that they cannot hold the bracket open
         # (g peaks at 1, and so does every iterate and, nearly, a warm start)
         keep = phi > floor
         ratio = psi[keep] / phi[keep]
-        bracket = (float(1.0 / ratio.max()), float(1.0 / ratio.min()))
-        top = psi.max()
+        bracket = (float(1.0 / np.maximum.reduce(ratio, None)),
+                   float(1.0 / np.minimum.reduce(ratio, None)))
+        top = np.maximum.reduce(psi, None)
         # the quotient lies at or below the upper end, so a wider bracket
         # cannot settle and its quotient would never be returned
         if (bracket[1] - bracket[0] <= numerics.REL_TOL * bracket[1]

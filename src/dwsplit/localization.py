@@ -52,14 +52,14 @@ class LocalizationResult:
 
 
 def discretize(view: MeanFieldView, panels: int):
-    """(half, rho, inv, part, g, estimate) on P panels.
+    """(half, rho, inv, g, estimate) on P panels.
 
     P/2 equal panels cover [0, x0] and P/2 [x0, domain_halfwidth].  half
     holds their half-widths, shape (P, 1); rho, inv and g hold rho_eq,
     1/rho_eq and g on the 16 NODES of each panel, shape (P, 16), rho_eq
-    being view.rho_eq over its panel sum on [-L, L].  part, the one
-    integral of 1/rho_eq, runs from each panel's left edge to each node
-    and, last, over the whole panel, shape (P, 17).  I sums the first P/2
+    being view.rho_eq over its panel sum on [-L, L].  part, the integral
+    of 1/rho_eq on [0, x0], runs from each panel's left edge to each node
+    and, last, over the whole panel, shape (P/2, 17).  I sums those
     panels whole; g = min(C/I, 1) with C = part plus the whole panels
     before, and g = 1 on every node of [x0, L].  estimate is the
     LocalizationResult from I and <g|rho_eq|g>.  Raises NumericsError if
@@ -74,19 +74,20 @@ def discretize(view: MeanFieldView, panels: int):
                                           view.x0 + outer * unit]))
         rho = rho / (2.0 * float(half[:, 0] @ (rho @ WEIGHTS)))
         inv = 1.0 / rho
-    if not np.all(np.isfinite(inv)):
+    if not np.logical_and.reduce(np.isfinite(inv), None):
         raise numerics.NumericsError(
             f"1/rho_eq is not finite on the panel nodes: rho_eq underflows "
             f"({view.label})")
-    part = half * (inv @ numerics.FORWARD)
-    ends = np.cumsum(part[:m, -1])  # from 0 to each panel's right edge
+    part = half[:m] * (inv[:m] @ numerics.FORWARD)
+    ends = np.add.accumulate(part[:, -1])  # from 0 to each panel's right edge
     i_value = float(ends[-1])
     g = np.ones_like(inv)
-    g[:m] = np.minimum(
-        (part[:m, :-1] + np.append(0.0, ends[:-1])[:, None]) / i_value, 1.0)
+    g[:m] = part[:, :-1]
+    g[1:m] += ends[:-1, None]
+    np.minimum(g[:m] / i_value, 1.0, out=g[:m])
     # the integrand is even: double the half-line sum
-    g_norm = 2.0 * float(np.sum(half * WEIGHTS * g * g * rho))
-    return half, rho, inv, part, g, LocalizationResult(
+    g_norm = 2.0 * float(np.add.reduce(half * WEIGHTS * g * g * rho, None))
+    return half, rho, inv, g, LocalizationResult(
         splitting=2.0 * view.x0**2 / (i_value * g_norm), i_value=i_value,
         g_norm=g_norm)
 
@@ -97,9 +98,9 @@ def discretizations(view: MeanFieldView):
     last = None
     for panels in PANEL_COUNTS:
         *arrays, estimate = discretize(view, panels)
-        now = np.array([estimate.i_value, estimate.g_norm])
-        yield (*arrays, estimate, last is not None
-               and bool(np.all(abs(now - last) <= REL_TOL * now)))
+        now = estimate.i_value, estimate.g_norm
+        yield (*arrays, estimate, last is not None and all(
+            abs(x - y) <= REL_TOL * x for x, y in zip(now, last)))
         last = now
 
 

@@ -239,11 +239,12 @@ class QuarticMeanFieldModel:
 
     dU is the mean-field barrier height in units of E_u.  Parameters at
     which a closed form (barrier heights, curvatures) is not a finite float
-    raise ValueError.
+    raise ValueError.  The family has no validity warnings.
     """
 
     du: float
     x0: float = 1.0
+    validity_warnings: tuple = field(default=(), init=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.du < math.inf:
@@ -390,7 +391,8 @@ def barrier_width(model: TwoGaussianModel) -> float:
     in (-x0, x0) and their distance is returned.
 
     Raises ValueError when the quantum potential is not a two-minimum
-    barrier (curvature_at_origin >= 0).
+    barrier (curvature_at_origin >= 0), or when the wells overlap so
+    strongly that the half-height level lies below deltaV(x0).
     """
     if model.curvature_at_origin() >= 0.0:
         raise ValueError(
@@ -401,9 +403,16 @@ def barrier_width(model: TwoGaussianModel) -> float:
     def excess(x):
         return model.quantum_potential(x) - level
 
-    # excess(0) = +dV/2, excess(x0) = -dV/2 + O(S): a guaranteed bracket
-    right = numerics.find_root_bracketed(excess, 0.0, model.x0,
-                                         tol=1e-13 * model.x0)
+    # excess(0) = +dV/2, excess(x0) = -dV/2 + O(S): a bracket unless S is large
+    try:
+        right = numerics.find_root_bracketed(excess, 0.0, model.x0,
+                                             tol=1e-13 * model.x0)
+    except numerics.RootBracketError as err:
+        raise ValueError(
+            f"barrier width undefined: the half-height level {level:.6g} lies "
+            f"below deltaV(x0) = {model.quantum_potential(model.x0):.6g}: "
+            f"the wells overlap too strongly for a crossing in (0, x0)"
+            ) from err
     return 2.0 * right
 
 

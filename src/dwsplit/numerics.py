@@ -4,8 +4,9 @@ One quadrature rule serves every integral in the package: a 16-point
 Gauss-Legendre rule on P equal panels (`integrate_panels` doubles P from
 8 until two successive sums agree to 1e-12 relative).  The integrands are
 analytic, so the panel sums converge geometrically in P.  Every panel
-layout is `unit_panels`, the nodes of P equal panels of [0, 1], mapped
-onto its interval (by `integrate_panels` and `localization.discretize`).
+layout is `unit_panels`, the nodes of P equal panels of [0, 1], built
+once per P, read-only, and mapped onto its interval (by
+`integrate_panels` and `localization.discretize`).
 The rule's cumulative form is a pair of panel matrices, FORWARD and
 REVERSE: the integral of the degree-15 interpolant within a panel up to
 or beyond each node (Greengard, SIAM J. Numer. Anal. 28, 1991).  Added to
@@ -18,6 +19,7 @@ false position).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -59,9 +61,14 @@ def bisect(f):
     return (f @ _BISECT.T).reshape(-1, 16)
 
 
+@functools.lru_cache(maxsize=None)
 def unit_panels(panels: int) -> np.ndarray:
-    """NODES of P equal panels of [0, 1], shape (P, 16), half-width 1/(2P)."""
-    return (np.arange(panels)[:, None] + 0.5 * (1.0 + NODES)) / panels
+    """NODES of P equal panels of [0, 1], shape (P, 16), half-width 1/(2P).
+
+    One read-only array per P, shared by every caller."""
+    nodes = (np.arange(panels)[:, None] + 0.5 * (1.0 + NODES)) / panels
+    nodes.flags.writeable = False
+    return nodes
 
 
 def integrate_panels(f: Callable, a: float, b: float) -> float:
@@ -79,7 +86,7 @@ def integrate_panels(f: Callable, a: float, b: float) -> float:
     last = None
     for n in PANELS:
         value = (b - a) / (2 * n) * float(
-            (f(a + (b - a) * unit_panels(n)) @ WEIGHTS).sum())
+            np.add.reduce(f(a + (b - a) * unit_panels(n)) @ WEIGHTS))
         if not math.isfinite(value):
             raise NumericsError(f"integral over [{a}, {b}] is not finite: {value}")
         if last is not None and abs(value - last) <= REL_TOL * abs(value):

@@ -71,7 +71,7 @@ def barrier_action(delta_v: Callable, energy: float, turning_point: float) -> fl
 
     def integrand(u):
         excess = delta_v(x_t * (1.0 - u * u)) - energy
-        if np.any(excess < 0.0):
+        if np.logical_or.reduce(excess < 0.0, None):
             raise ValueError(
                 f"potential must fall through the turning point: deltaV - E "
                 f"reaches {np.min(excess):.3e} inside (0, {x_t:.6g})")

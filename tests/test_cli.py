@@ -106,7 +106,11 @@ class TestTopLevel:
 
 # (argv, the one stderr line after "dwsplit: error: ")
 USAGE_ERRORS = [
-    (("split",), "split needs one of --sigma, --dv/--width"),
+    (("split",), "split needs one of --quartic, --sigma, --dv/--width"),
+    (("split", "--quartic"), "--quartic requires --du"),
+    (("split", "--quartic", "--du", "3", "--sigma", "0.3"),
+     "--quartic does not read --sigma"),
+    (("split", "--sigma", "0.3", "--du", "3"), "--sigma does not read --du"),
     (("split", "--width", "0.6"), "--dv/--width requires --dv"),
     (("split", "--dv", "30", "--width", "0.64", "--alpha", "2"),
      "--dv/--width does not read --alpha"),
@@ -198,6 +202,20 @@ class TestSplit:
         assert doc["failures"] == {}
         assert 0.0 < doc["splittings"]["exact"] <= \
             doc["splittings"]["localization"]
+
+    def test_quartic_model(self, capsys):
+        # the quartic family is spelled as in profile; its JSON carries the
+        # row of experiments.evaluate and no validity warnings
+        code, out, err = run(capsys, "split", "--quartic", "--du", "3")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        row = experiments.evaluate(models.QuarticMeanFieldModel(du=3.0))
+        assert doc["splittings"] == {
+            m: float(f"{v:.12g}") for m, v in row.splittings.items()}
+        assert set(doc["splittings"]) == set(experiments.METHODS)
+        assert (doc["delta_u"], doc["sigma"], doc["width"]) == (3.0, None, None)
+        assert doc["failures"] == {}
+        assert doc["validity_warnings"] == []
 
     def test_resolves_height_width_pair(self, capsys):
         code, out, _ = run(capsys, "split", "--dv", "30", "--width", "0.64")
@@ -471,7 +489,8 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert [r["width"] is None for r in rows] == [False, False, True, True]
         assert all(r["splitting_exact"] > 0 for r in rows)
-        assert ["width=RootBracketError: no sign change" in r["failures"]
+        assert ["width=ValueError: barrier width undefined: the half-height "
+                "level" in r["failures"]
                 for r in rows] == [False, False, True, True]
         # the message holds commas; the CSV cell quotes them
         code, out, _ = run(capsys, "sweep", "--family", "fixed-dv",

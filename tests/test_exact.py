@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from dwsplit import exact, localization, models, numerics
+from dwsplit import exact, experiments, localization, models, numerics
 
 from helpers import fd_lowest, richardson_green, running_integral
 
@@ -211,6 +211,26 @@ class TestGreenSplitting:
             assert "exact" in row.splittings, row.swept_value
             assert row.diagnostics["iterations"] == 1, row.swept_value
 
+    def test_applications_of_k_on_the_default_sweeps(self, monkeypatch):
+        # a cheaper application of K must not come with more of them:
+        # 232 at P = 32 plus 40 at P = 64 on the dU sweep, 163 + 25 at
+        # dV = 30 and 231 + 25 at dV = 15
+        applied = []
+        inverse_iteration = exact._inverse_iteration
+
+        def counted(*args):
+            result = inverse_iteration(*args)
+            applied[-1] += result[2]
+            return result
+
+        monkeypatch.setattr(exact, "_inverse_iteration", counted)
+        for spec, bound in ((experiments.default_du_sweep(), 272),
+                            (experiments.default_width_sweep(30.0), 188),
+                            (experiments.default_width_sweep(15.0), 256)):
+            applied.append(0)
+            experiments.run_sweep(spec)
+            assert 0 < applied[-1] <= bound, spec.family
+
     def test_warm_start_keeps_the_cold_start_values(self, default_sweeps,
                                                     monkeypatch):
         views = [models.meanfield_view(models.TwoGaussianModel(
@@ -247,7 +267,7 @@ class TestGreenSplitting:
         for view in views:
             for panels in (32, 64, 128):
                 *arrays, g, _ = localization.discretize(view, panels)
-                half, rho, inv, _ = arrays
+                half, rho, inv = arrays
                 *_, k_g = exact._inverse_iteration(view, *arrays, g)
                 expected = running_integral(running_integral(
                     rho * g, half, reverse=True) * inv, half) / view.x0**2

@@ -165,6 +165,17 @@ class TestBarrierWidth:
         with pytest.raises(ValueError):
             models.barrier_width(m)
 
+    def test_no_width_when_level_lies_below_the_floor_at_x0(self):
+        # at dV = 15, alpha = 25 the wells overlap so strongly that
+        # deltaV(x0) sits above the half-height level: no crossing in (0, x0)
+        m = table_model(25.0, delta_v=15.0)
+        level = m.quantum_potential(0.0) - 0.5 * m.barrier_heights().delta_v
+        assert m.quantum_potential(m.x0) > level
+        with pytest.raises(ValueError, match=(
+                r"half-height level -6\.19306 lies below deltaV\(x0\) = "
+                r"-0\.679674")):
+            models.barrier_width(m)
+
 
 class TestTwoMinimumLimit:
     def test_limit_value_dv30(self):
@@ -233,6 +244,12 @@ class TestSolveParameters:
 
 
 class TestQuartic:
+    def test_no_validity_warnings(self):
+        # split's JSON reads every model's validity_warnings
+        m = models.QuarticMeanFieldModel(du=2.0)
+        assert m.validity_warnings == ()
+        assert m == models.QuarticMeanFieldModel(du=2.0)
+
     def test_curvature_closed_form(self):
         m = models.QuarticMeanFieldModel(du=2.0)
         assert m.curvature_at_origin() == pytest.approx(

@@ -109,6 +109,19 @@ def piecewise(edges, degree, seed):
     return half, pieces, np.array([p(row) for p, row in zip(pieces, x)])
 
 
+class TestUnitPanels:
+    def test_one_read_only_layout_per_panel_count(self):
+        # every discretization shares the cached layout, so a caller that
+        # wrote into it would move the nodes of every later row
+        nodes = numerics.unit_panels(16)
+        assert numerics.unit_panels(16) is nodes
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 0.5
+        assert nodes.shape == (16, 16)
+        edges = np.arange(17) / 16.0
+        assert np.all((edges[:-1, None] < nodes) & (nodes < edges[1:, None]))
+
+
 class TestBisect:
     """bisect: panel values carried to the nodes of the halved panels."""
 
