@@ -133,7 +133,8 @@ class SweepRow:
     failures maps method name to a short tag when that method raised,
     did not converge, gave no finite positive value or (exact) exceeded
     the localization upper bound; "width" maps to the error type and
-    message when the barrier width could not be measured (width is None).
+    message when the barrier width could not be measured (width is None),
+    and "model" says that the density has one maximum, not two.
     diagnostics holds n_panels and iterations (exact, also unconverged),
     i_integral and g_norm (localization, at the same n_panels), and
     turning_points (in the unit of width), action and well_frequency (wkb).
@@ -165,7 +166,8 @@ def evaluate(model: models.Model,
     other methods still run.  So does an exact value more than
     numerics.REL_TOL relative above the localization bound, when both
     were computed.  A width that cannot be measured is None and named in
-    failures["width"]; the splittings do not depend on it.
+    failures["width"]; the splittings do not depend on it.  A density
+    with one maximum keeps its values and is named in failures["model"].
     """
     methods = canonical_methods(methods)
     x0 = model.x0
@@ -221,6 +223,11 @@ def evaluate(model: models.Model,
                              f"{value / bound - 1.0:.3g} relative", **failures}
     if width_failure is not None:
         failures["width"] = width_failure
+    if not model.has_two_maxima():
+        failures["model"] = (
+            "the density has one maximum: exact is the lowest odd-sector "
+            "eigenvalue of a single well and localization an upper bound "
+            "on it; neither is a tunneling splitting")
 
     ref = splittings.get("exact")
     rel_errors = {m: (splittings[m] - ref) / ref for m in ("localization", "wkb")

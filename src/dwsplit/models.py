@@ -61,9 +61,10 @@ class Model(Protocol):
     """What the package reads of a model; a new family is one class.
 
     Closed forms of U (kT), deltaV (E_u) and x0^2 deltaV''(x0) / E_u; the
-    domain half-width and the view label; profile_extras(grid) -> (profile
-    label, (kind, values) curves beside U and deltaV); and
-    two_gaussian_columns() -> (sigma, alpha, width, overlap, failure) or None.
+    domain half-width and the view label; whether the density has two
+    maxima; profile_extras(grid) -> (profile label, (kind, values) curves
+    beside U and deltaV); and two_gaussian_columns() -> (sigma, alpha,
+    width, overlap, failure) or None.
     """
 
     x0: float
@@ -74,6 +75,7 @@ class Model(Protocol):
     def curvature_at_x0(self) -> float: ...
     def domain_halfwidth(self) -> float: ...
     def label(self) -> str: ...
+    def has_two_maxima(self) -> bool: ...
     def profile_extras(self, grid) -> tuple: ...
     def two_gaussian_columns(self) -> tuple | None: ...
 
@@ -208,6 +210,11 @@ class TwoGaussianModel:
     def label(self) -> str:
         return f"two_gaussian(sigma={self.sigma:g}, alpha={self.alpha:g})"
 
+    def has_two_maxima(self) -> bool:
+        """U''(0) = 1/sigma^2 - x0^2/(alpha sigma^4) < 0: x0^2 > alpha sigma^2."""
+        r = self.x0 / self.sigma
+        return r * r > self.alpha
+
     def profile_extras(self, grid):
         """The parabolas of both wells: the harmonic approximation of U and
         the matching expansion of deltaV, tangent to the true curves at
@@ -297,6 +304,9 @@ class QuarticMeanFieldModel:
 
     def label(self) -> str:
         return f"quartic(du={self.du:g})"
+
+    def has_two_maxima(self) -> bool:
+        return True  # U''(0) = -4 du / x0^2 < 0 for every du > 0
 
     def profile_extras(self, grid):
         return f"quartic dU={self.du:g}", ()

@@ -12,7 +12,8 @@ REVERSE: the integral of the degree-15 interpolant within a panel up to
 or beyond each node (Greengard, SIAM J. Numer. Anal. 28, 1991).  Added to
 whole panels, they give the running integrals of the density
 discretization that `localization` and `exact` share; `bisect` carries
-node values to the halved panels through the same interpolant.
+node values to the halved panels through the same interpolant.  Literals
+and Bonnet's recurrence build it all: no `numpy.polynomial`, no LAPACK.
 Besides the rule there is a bracketed root finder (Anderson-Bjorck
 false position).
 """
@@ -24,9 +25,16 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import legendre
 
-NODES, WEIGHTS = legendre.leggauss(16)
+# numpy.polynomial.legendre.leggauss(16), mirrored as leggauss mirrors it
+_HALF_NODES = np.array([0.09501250983763744, 0.2816035507792589,
+    0.45801677765722737, 0.6178762444026438, 0.755404408355003,
+    0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_HALF_WEIGHTS = np.array([0.18945061045506864, 0.18260341504492364,
+    0.16915651939500265, 0.1495959888165767, 0.12462897125553407,
+    0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 PANELS = [8 << k for k in range(10)]  # 8, 16, ..., 4096
 REL_TOL = 1e-12
 _EPS = 2.0**-52  # the spacing of floats at 1
@@ -40,17 +48,26 @@ class RootBracketError(NumericsError):
     """Root finding failed: the bracket does not change sign."""
 
 
+def _legvander(x, deg):
+    """P_0(x) ... P_deg(x) on a last axis, in legvander's operation order."""
+    v = [x * 0 + 1.0, x]
+    for n in range(2, deg + 1):  # Bonnet's recurrence
+        v.append((v[n - 1] * x * (2 * n - 1) - v[n - 2] * (n - 1)) / n)
+    return np.stack(v, axis=-1)
+
+
 # _LEGENDRE maps f(NODES) to the Legendre coefficients of its degree-15
-# interpolant.  _F[i, j] weighs f(t_j) in the integral from -1 to t_i of it;
+# interpolant.  _F[i, j] weighs f(t_j) in the integral from -1 to t_i of it,
+# by the integral of P_n, (P_{n+1} - P_{n-1})/(2n + 1) (t + 1 for n = 0);
 # REVERSE is its mirror image, from t_i to 1.  The last column of FORWARD
 # and REVERSE is the whole panel.  _BISECT evaluates it on the NODES of
 # [-1, 0] and [0, 1].
-_LEGENDRE = ((np.arange(16) + 0.5)[:, None] * legendre.legvander(NODES, 15).T
-             * WEIGHTS)
-_F = (legendre.legvander(NODES, 16) @ legendre.legint(np.eye(16), lbnd=-1.0)
-      @ _LEGENDRE)
-_BISECT = legendre.legvander(np.concatenate([NODES - 1.0, NODES + 1.0]) / 2.0,
-                             15) @ _LEGENDRE
+_P = _legvander(NODES, 16)
+_LEGENDRE = (np.arange(16) + 0.5)[:, None] * _P[:, :16].T * WEIGHTS
+_F = np.column_stack([NODES + 1.0, (_P[:, 2:] - _P[:, :-2])
+                      / (2 * np.arange(1, 16) + 1)]) @ _LEGENDRE
+_BISECT = _legvander(np.concatenate([NODES - 1.0, NODES + 1.0]) / 2.0,
+                     15) @ _LEGENDRE
 FORWARD = np.column_stack([_F.T, WEIGHTS])
 REVERSE = np.column_stack([_F[::-1, ::-1].T, WEIGHTS])
 

@@ -221,6 +221,9 @@ class RazavyModel:
     def label(self) -> str:
         return f"razavy(t={self.t:g})"
 
+    def has_two_maxima(self) -> bool:
+        return True  # U''(0) = 2 xi - 2 < 0, as xi = e^t < 1
+
     def profile_extras(self, grid):
         return f"razavy t={self.t:g}", ()
 

@@ -63,6 +63,24 @@ class TestTopLevel:
         assert done.returncode == 0
         assert done.stdout.splitlines()[-1] == "[]"
 
+    def test_split_calls_no_lapack_and_loads_no_polynomial(self):
+        # the panel rule is built from literals and a recurrence: a cold
+        # split runs with every LAPACK entry point of numpy.linalg refused
+        probe = ("import sys, numpy.linalg as la\n"
+                 "def refuse(*args, **kwargs):\n"
+                 "    raise AssertionError('numpy.linalg called')\n"
+                 "for name in ('eig', 'eigh', 'eigvals', 'eigvalsh', 'solve', "
+                 "'inv', 'svd', 'qr', 'lstsq'):\n"
+                 "    setattr(la, name, refuse)\n"
+                 "from dwsplit import cli\n"
+                 "code = cli.main(['split', '--alpha', '1', '--sigma', "
+                 "'0.3593'])\n"
+                 "print('numpy.polynomial' in sys.modules)\n"
+                 "sys.exit(code)")
+        done = run_python(probe)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_non_finite_parameters_exit_1(self):
         # in a subprocess with a timeout: a NaN once sent the root finder
         # into an endless loop
@@ -339,6 +357,17 @@ class TestSplit:
         assert float(rec["delta_v"]) == pytest.approx(30.0, abs=0.01)
         assert float(rec["splitting_exact"]) > 0
 
+    def test_single_well_is_named_in_csv(self, capsys):
+        # sigma = 2 > x0: the density has one maximum, at the origin
+        code, out, _ = run(capsys, "split", "--sigma", "2",
+                           "--allow-out-of-range", "--format", "csv")
+        assert code == 0
+        body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+        (rec,) = csv.DictReader(io.StringIO(body))
+        assert rec["splitting_exact"] and rec["splitting_localization"]
+        assert "model=the density has one maximum" in rec["failures"]
+        assert "single well" in rec["failures"]
+
 
 class TestTable:
     def test_text_output_matches_library(self, capsys):
@@ -395,6 +424,19 @@ class TestSweep:
                 row.splittings["exact"], rel=1e-11)
             assert float(rec["width"]) == pytest.approx(row.width, rel=1e-11)
             assert rec["failures"] == ""
+
+    def test_single_well_rows_are_named(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "simple-du",
+                           "--du", "-0.5:1:3", "--allow-out-of-range")
+        assert code == 0
+        body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+        rows = list(csv.DictReader(io.StringIO(body)))
+        # dU = -0.5 has one density maximum; dU = 0.25 and 1 have two
+        assert ["model=" in rec["failures"] for rec in rows] == [
+            True, False, False]
+        assert rows[0]["splitting_exact"] and rows[0]["splitting_localization"]
+        assert "lowest odd-sector eigenvalue of a single well" in (
+            rows[0]["failures"])
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "simple-du",
@@ -522,7 +564,9 @@ class TestSweep:
         assert code == 0
         doc = json.loads(out)
         assert doc["width"] is None
-        assert list(doc["failures"]) == ["width"]
+        # alpha = 30 puts x0^2 = alpha sigma^2: one density maximum, named
+        # as "model"; neither entry is a method, so the exit code stays 0
+        assert list(doc["failures"]) == ["model", "width"]
         assert set(doc["splittings"]) == {"exact", "localization"}
 
 

@@ -178,6 +178,15 @@ class TestEvaluate:
         left, right = row.diagnostics["turning_points"]
         assert left == -right and 0.0 < right < row.x0
 
+    def test_single_well_keeps_its_values_and_is_named(self):
+        # x0^2 = alpha sigma^2: U''(0) = 0, the density's one maximum
+        row = experiments.evaluate(models.TwoGaussianModel(
+            sigma=1.0, allow_out_of_range=True))
+        assert {"exact", "localization"} <= set(row.splittings)
+        assert row.failures["model"].startswith(
+            "the density has one maximum: exact is the lowest odd-sector "
+            "eigenvalue of a single well and localization an upper bound")
+
     def test_methods_run_in_canonical_order(self):
         model = models.QuarticMeanFieldModel(du=3.0)
         row = experiments.evaluate(model, ("wkb", "localization"))
@@ -350,6 +359,10 @@ class TestDefaultSweeps:
             assert spec.fixed["delta_v"] == dv
             assert spec.stop == stop
             assert spec.methods == ("exact", "localization")
+
+    def test_no_default_row_is_a_single_well(self, default_sweeps):
+        for name, (_, rows, _) in default_sweeps.items():
+            assert not [r for r in rows if "model" in r.failures], name
 
     def test_width_sweep_generic_height_stays_bistable(self):
         spec = experiments.default_width_sweep(50.0)

@@ -39,6 +39,19 @@ class TestTwoGaussianModel:
         with pytest.raises(ValueError):
             models.TwoGaussianModel(sigma=0.3, x0=0.0)
 
+    @pytest.mark.parametrize("sigma, alpha, x0", [
+        (0.3593, 1.0, 1.0), (0.9, 1.0, 1.0), (1.2, 1.0, 1.0), (0.6, 3.0, 1.0),
+        (0.5, 3.0, 1.0), (0.9, 2.0, 1.7), (1.5, 1.2, 1.7),
+        (0.5, 4.0, 1.0)])  # x0^2 = alpha sigma^2: U''(0) = 0, U rises as x^4
+    def test_two_maxima_where_the_origin_is_a_minimum_of_u(self, sigma,
+                                                            alpha, x0):
+        m = models.TwoGaussianModel(sigma=sigma, alpha=alpha, x0=x0,
+                                    allow_out_of_range=True)
+        h = 1e-3 * x0
+        bump = float(np.sum(m.meanfield_potential([-h, h]))
+                     - 2.0 * m.meanfield_potential(0.0))
+        assert m.has_two_maxima() == (bump < 0.0)
+
 
 class TestNonFiniteClosedForms:
     """A closed form that is not a finite float is a ValueError naming the
@@ -334,7 +347,8 @@ class TestMeanFieldViewDispatch:
             x0 = 1.0
             meanfield_potential = quantum_potential = staticmethod(abs)
             barrier_heights = curvature_at_x0 = domain_halfwidth = label = \
-                profile_extras = two_gaussian_columns = staticmethod(abs)
+                profile_extras = two_gaussian_columns = has_two_maxima = \
+                staticmethod(abs)
 
         assert models.require_model(bare := Bare()) is bare
         assert Bare in models._MODEL_CLASSES

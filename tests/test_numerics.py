@@ -109,6 +109,37 @@ def piecewise(edges, degree, seed):
     return half, pieces, np.array([p(row) for p, row in zip(pieces, x)])
 
 
+class TestRuleTables:
+    """The rule and its panel matrices against numpy.polynomial's own
+    construction: leggauss for the rule, legvander and legint for the
+    matrices."""
+
+    def reference(self):
+        from numpy.polynomial import legendre
+        nodes, weights = legendre.leggauss(16)
+        to_legendre = ((np.arange(16) + 0.5)[:, None]
+                       * legendre.legvander(nodes, 15).T * weights)
+        f = (legendre.legvander(nodes, 16)
+             @ legendre.legint(np.eye(16), lbnd=-1.0) @ to_legendre)
+        halves = np.concatenate([nodes - 1.0, nodes + 1.0]) / 2.0
+        return dict(
+            NODES=nodes, WEIGHTS=weights, _LEGENDRE=to_legendre,
+            _BISECT=legendre.legvander(halves, 15) @ to_legendre,
+            FORWARD=np.column_stack([f.T, weights]),
+            REVERSE=np.column_stack([f[::-1, ::-1].T, weights]))
+
+    def test_rule_and_interpolant_are_bit_identical(self):
+        ref = self.reference()
+        for name in ("NODES", "WEIGHTS", "_LEGENDRE", "_BISECT"):
+            assert np.array_equal(getattr(numerics, name), ref[name]), name
+
+    def test_panel_matrices_agree_to_rounding(self):
+        ref = self.reference()
+        for name in ("FORWARD", "REVERSE"):
+            assert np.abs(getattr(numerics, name) - ref[name]).max() <= (
+                2.3e-16), name
+
+
 class TestUnitPanels:
     def test_one_read_only_layout_per_panel_count(self):
         # every discretization shares the cached layout, so a caller that

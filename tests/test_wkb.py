@@ -132,3 +132,24 @@ class TestAccuracyRegime:
         truth = exact.green_splitting(models.meanfield_view(model))
         assert truth.converged
         assert semic == pytest.approx(truth.splitting, rel=0.03)
+
+
+class TestSemiclassicalPlateau:
+    """The wkb error does not vanish as the barrier grows.
+
+    Pinned at its measured values so that a change to the WKB estimate
+    cannot move them silently: the two-Gaussian (alpha = 1) error settles
+    on a plateau near +1.29e-2 from dU = 100 to 600, and the quartic error
+    grows with dU."""
+
+    @pytest.mark.parametrize("du", [100.0, 300.0, 600.0])
+    def test_two_gaussian_plateau(self, du):
+        row = experiments.evaluate(
+            models.TwoGaussianModel(sigma=models.sigma_for_du(du)))
+        assert 1.28e-2 <= row.rel_errors["wkb"] <= 1.30e-2
+
+    @pytest.mark.parametrize("du, error", [(40.0, 6.65e-3), (100.0, 4.166e-2),
+                                           (300.0, 6.160e-2)])
+    def test_quartic_growth(self, du, error):
+        row = experiments.evaluate(models.QuarticMeanFieldModel(du=du))
+        assert row.rel_errors["wkb"] == pytest.approx(error, abs=5e-4)
