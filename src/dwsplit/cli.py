@@ -34,6 +34,7 @@ accordingly.  The diffusion picture fixes m = hbar / (2 D).
 """
 
 X0_HELP = "half the well separation; all lengths share its unit (default 1)"
+NO_OP_HELP = "no effect; every sigma/x0 runs, and strong overlap is warned"
 
 SWEEP_COLUMNS = (
     "swept_value", "x0", "sigma", "alpha", "delta_u", "delta_v",
@@ -48,8 +49,7 @@ SPLIT_COLUMNS = ("alpha", "sigma", "x0", "delta_u", "delta_v", "width",
 def _two_gaussian(a, **params) -> models.TwoGaussianModel:
     """The model of the flags, with params in place of their values."""
     return models.TwoGaussianModel(**{"sigma": a.sigma, "x0": a.x0,
-                                      "alpha": a.alpha, **params},
-                                   allow_out_of_range=a.allow_out_of_range)
+                                      "alpha": a.alpha, **params})
 
 
 # Per mode of a command: the flags it needs, the others it reads of those
@@ -59,17 +59,13 @@ def _two_gaussian(a, **params) -> models.TwoGaussianModel:
 _SPLIT_MODES = {
     "--quartic": (("du",), ("quartic",), lambda a: models.QuarticMeanFieldModel(
         du=a.du, x0=a.x0)),
-    "--sigma": (("sigma",), ("alpha", "allow_out_of_range"), _two_gaussian),
-    "--dv/--width": (("dv", "width"), ("allow_out_of_range",),
-                     lambda a: models.solve_parameters(
-                         a.dv, a.width, x0=a.x0,
-                         allow_out_of_range=a.allow_out_of_range)),
+    "--sigma": (("sigma",), ("alpha",), _two_gaussian),
+    "--dv/--width": (("dv", "width"), (), lambda a: models.solve_parameters(
+        a.dv, a.width, x0=a.x0)),
 }
 _SWEEP_MODES = {
-    "--family simple-du": (("du",), ("x0", "allow_out_of_range"),
-                           "simple_gaussian_dU"),
-    "--family fixed-dv": (("dv", "alpha"), ("x0", "allow_out_of_range"),
-                          "extended_fixed_dV"),
+    "--family simple-du": (("du",), ("x0",), "simple_gaussian_dU"),
+    "--family fixed-dv": (("dv", "alpha"), ("x0",), "extended_fixed_dV"),
     "--family quartic-du": (("du",), ("x0",), "quartic_dU"),
 }
 _PROFILE_MODES = {
@@ -79,13 +75,13 @@ _PROFILE_MODES = {
             (models.QuarticMeanFieldModel(du=du) for du in a.du_list), grid,
             "quantum_over_dU", lambda m: m.du, lambda m: f"dU={m.du:g}")),
     "--family shape": (
-        ("sigma_list",), ("alpha", "allow_out_of_range"),
+        ("sigma_list",), ("alpha",),
         lambda a, grid: experiments.quantum_profiles(
             (_two_gaussian(a, sigma=s) for s in a.sigma_list), grid,
             "quantum_over_dV", lambda m: m.barrier_heights().delta_v,
             lambda m: f"sigma/x0={m.sigma:g}")),
     "--family fixed-dv": (
-        ("dv", "alpha_list"), ("allow_out_of_range",),
+        ("dv", "alpha_list"), (),
         lambda a, grid: experiments.quantum_profiles(
             (_two_gaussian(a, sigma=models.sigma_for_delta_v(a.dv, al),
                            alpha=al) for al in a.alpha_list), grid,
@@ -93,7 +89,7 @@ _PROFILE_MODES = {
     "--quartic": (("du",), ("quartic", "x0"),
                   lambda a, grid: experiments.emit_profiles(
                       models.QuarticMeanFieldModel(du=a.du, x0=a.x0), grid)),
-    "--sigma": ((), ("sigma", "alpha", "x0", "allow_out_of_range"),
+    "--sigma": ((), ("sigma", "alpha", "x0"),
                 lambda a, grid: experiments.emit_profiles(_two_gaussian(a),
                                                           grid)),
 }
@@ -250,7 +246,7 @@ def cmd_sweep(args) -> int:
              if k in reads}
     spec = experiments.SweepSpec(
         family=family, start=start, stop=stop, n_points=n, fixed=fixed,
-        methods=args.methods, allow_out_of_range=args.allow_out_of_range)
+        methods=args.methods)
     rows = experiments.run_sweep(spec)
     meta = _base_meta(
         "sweep", family=family, start=start, stop=stop, n_points=n,
@@ -370,7 +366,8 @@ def build_parser():
     split.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                        default=experiments.METHODS,
                        help="comma list from exact,localization,wkb")
-    split.add_argument("--allow-out-of-range", action="store_true")
+    split.add_argument("--allow-out-of-range", action="store_true",
+                       help=NO_OP_HELP)
     _add_common_output(split, "json")
     split.set_defaults(func=cmd_split, default_of=split.get_default)
 
@@ -390,7 +387,8 @@ def build_parser():
     sweep.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                        default=experiments.METHODS,
                        help="comma list from exact,localization,wkb")
-    sweep.add_argument("--allow-out-of-range", action="store_true")
+    sweep.add_argument("--allow-out-of-range", action="store_true",
+                       help=NO_OP_HELP)
     _add_common_output(sweep, "csv")
     sweep.set_defaults(func=cmd_sweep, default_of=sweep.get_default)
 
@@ -423,7 +421,8 @@ def build_parser():
     profile.add_argument("--sigma-list", type=_parse_float_list, default=())
     profile.add_argument("--alpha-list", type=_parse_float_list, default=())
     profile.add_argument("--dv", type=float, default=None)
-    profile.add_argument("--allow-out-of-range", action="store_true")
+    profile.add_argument("--allow-out-of-range", action="store_true",
+                         help=NO_OP_HELP)
     _add_common_output(profile, "csv")
     profile.set_defaults(func=cmd_profile, default_of=profile.get_default)
     return parser

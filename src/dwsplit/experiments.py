@@ -23,10 +23,11 @@ builds the model of each swept value and calls it, and so does ``dwsplit
 split`` for its single model, so one pathological row cannot abort a long
 sweep and both commands report the same numbers.
 
-The sigma/x0 band and the finiteness of the closed forms are checked only
-by the model constructors.  ``SweepSpec`` builds the models at both ends
-of its range, so a range that leaves either is refused before any row is
-evaluated.
+The finiteness of the closed forms is checked only by the model
+constructors.  ``SweepSpec`` builds the models at both ends of its range,
+so a range where they are not finite is refused before any row is
+evaluated.  Any sigma/x0 is accepted; the models warn of strong well
+overlap, where the closed-form barrier heights degrade.
 """
 
 from __future__ import annotations
@@ -43,15 +44,13 @@ from . import exact, models, numerics, wkb
 # each family sigma falls and the closed forms grow with the swept value,
 # so SweepSpec builds the models at both ends of its range and no other.
 SWEEP_FAMILIES = {
-    "simple_gaussian_dU": ("du", ("x0",), lambda v, x0, fixed, allow: (
-        models.TwoGaussianModel(sigma=models.sigma_for_du(v, x0), x0=x0,
-                                allow_out_of_range=allow))),
-    "extended_fixed_dV": ("alpha", ("x0", "delta_v"),
-                          lambda v, x0, fixed, allow: (
+    "simple_gaussian_dU": ("du", ("x0",), lambda v, x0, fixed: (
+        models.TwoGaussianModel(sigma=models.sigma_for_du(v, x0), x0=x0))),
+    "extended_fixed_dV": ("alpha", ("x0", "delta_v"), lambda v, x0, fixed: (
         models.TwoGaussianModel(
             sigma=models.sigma_for_delta_v(float(fixed["delta_v"]), v, x0),
-            x0=x0, alpha=v, allow_out_of_range=allow))),
-    "quartic_dU": ("du", ("x0",), lambda v, x0, fixed, allow: (
+            x0=x0, alpha=v))),
+    "quartic_dU": ("du", ("x0",), lambda v, x0, fixed: (
         models.QuarticMeanFieldModel(du=v, x0=x0))),
 }
 METHODS = ("exact", "localization", "wkb")
@@ -80,8 +79,6 @@ class SweepSpec:
         fixed["delta_v"], all families accept fixed["x0"], and any other
         key is a ValueError.
     methods : subset of METHODS, stored in canonical order.
-    allow_out_of_range : forward to the model constructors, which
-        otherwise reject sigma/x0 beyond the validated band.
     """
 
     family: str
@@ -90,7 +87,6 @@ class SweepSpec:
     n_points: int
     fixed: Mapping[str, float] = field(default_factory=dict)
     methods: tuple[str, ...] = METHODS
-    allow_out_of_range: bool = False
 
     def __post_init__(self) -> None:
         if self.family not in SWEEP_FAMILIES:
@@ -118,8 +114,7 @@ class SweepSpec:
 
     def model_at(self, value: float) -> models.Model:
         build = SWEEP_FAMILIES[self.family][2]
-        return build(value, float(self.fixed.get("x0", 1.0)), self.fixed,
-                     self.allow_out_of_range)
+        return build(value, float(self.fixed.get("x0", 1.0)), self.fixed)
 
 
 @dataclass(frozen=True)
@@ -254,12 +249,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 def default_du_sweep() -> SweepSpec:
     """Default alpha = 1 sweep: dU in [1, 12], 40 points, all methods.
 
-    The lower end of the range needs sigma/x0 slightly above the
-    validated band (dU < 1.307), which the default deliberately allows;
-    the models carry the corresponding validity warning.
+    At dU = 1 the wells overlap at S ~ 1.1e-3, and that model carries
+    the overlap warning.
     """
     return SweepSpec(family="simple_gaussian_dU", start=1.0, stop=12.0,
-                     n_points=40, allow_out_of_range=True)
+                     n_points=40)
 
 
 def default_width_sweep(delta_v: float) -> SweepSpec:

@@ -41,10 +41,8 @@ import numpy as np
 
 from . import numerics
 
-# Validated shape range for the two-Gaussian family.  Larger sigma/x0 means
-# strongly overlapping wells; the closed-form barrier expressions drop terms
-# of order S = exp(-2 x0^2 / (alpha sigma^2)) and degrade there.
-SIGMA_RATIO_MAX = 0.5
+# The two-Gaussian closed forms drop terms of order the well overlap
+# S = exp(-2 x0^2 / (alpha sigma^2)); a model warns once S reaches this.
 SUPERPOSITION_WARN = 1e-3
 
 
@@ -97,22 +95,20 @@ class TwoGaussianModel:
         unit; keep 1.0 unless deliberately rescaling).
     alpha : float
         Flattening exponent, >= 1.
-    allow_out_of_range : bool
-        Permit sigma/x0 > 0.5.  Out-of-range models are constructed with a
-        validity warning attached instead of raising.  Sweeps and the CLI
-        rely on this check alone.
 
-    Validity warnings (never fatal) are collected in ``validity_warnings``:
-    appreciable well overlap (S >= 1e-3) and loss of the two-minimum shape
-    of the quantum potential (curvature_at_origin >= 0).  Parameters at
-    which a closed form (barrier heights, curvatures, overlap S) is not a
-    finite float raise ValueError.
+    No sigma/x0 band is imposed: the splitting methods read only the
+    density.  What degrades as the wells overlap is the closed-form
+    barrier heights and curvatures, and that is flagged.  Validity
+    warnings (never fatal) are collected in ``validity_warnings``:
+    appreciable well overlap (S >= 1e-3) and loss of the two-minimum
+    shape of the quantum potential (curvature_at_origin >= 0).
+    Parameters at which a closed form (barrier heights, curvatures,
+    overlap S) is not a finite float raise ValueError.
     """
 
     sigma: float
     x0: float = 1.0
     alpha: float = 1.0
-    allow_out_of_range: bool = False
     validity_warnings: tuple = field(default=(), init=False, compare=False)
 
     def __post_init__(self):
@@ -123,16 +119,6 @@ class TwoGaussianModel:
         if not 1 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
         notes = []
-        ratio = self.sigma / self.x0
-        if ratio > SIGMA_RATIO_MAX:
-            if not self.allow_out_of_range:
-                raise ValueError(
-                    f"sigma/x0 = {ratio:.4g} outside the validated range "
-                    f"(0, {SIGMA_RATIO_MAX}]; pass allow_out_of_range=True "
-                    f"to construct anyway")
-            notes.append(
-                f"sigma/x0 = {ratio:.4g} exceeds {SIGMA_RATIO_MAX}; "
-                f"closed-form barrier expressions lose accuracy")
         *_, curv0 = _finite_closed_forms(self, ("sigma", "x0", "alpha"))
         s = superposition_coefficient(self)
         if s >= SUPERPOSITION_WARN:
@@ -467,8 +453,8 @@ def two_minimum_alpha_limit(delta_v: float) -> float:
     return root * root
 
 
-def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
-                     allow_out_of_range: bool = False) -> TwoGaussianModel:
+def solve_parameters(delta_v: float, width: float,
+                     x0: float = 1.0) -> TwoGaussianModel:
     """Two-Gaussian model with prescribed quantum barrier height and width.
 
     delta_v fixes sigma for each alpha through sigma_for_delta_v; alpha is
@@ -485,7 +471,7 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
 
     def model_at(alpha: float) -> TwoGaussianModel:
         return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),
-                                x0=x0, alpha=alpha, allow_out_of_range=True)
+                                x0=x0, alpha=alpha)
 
     def floor_above_level(alpha: float) -> float:
         m = model_at(alpha)
@@ -507,6 +493,4 @@ def solve_parameters(delta_v: float, width: float, x0: float = 1.0,
     alpha = numerics.find_root_bracketed(
         lambda a: barrier_width(model_at(a)) - width, 1.0, alpha_hi,
         tol=1e-12)
-    return TwoGaussianModel(sigma=sigma_for_delta_v(delta_v, alpha, x0),
-                            x0=x0, alpha=alpha,
-                            allow_out_of_range=allow_out_of_range)
+    return model_at(alpha)

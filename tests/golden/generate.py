@@ -29,7 +29,7 @@ from helpers import fd_lowest, read_profile_output  # noqa: E402
 
 from dwsplit import cli, experiments, models  # noqa: E402
 
-# every profile mode; fixed-dv at dV = 5 needs --allow-out-of-range
+# every profile mode; --allow-out-of-range is accepted and has no effect
 PROFILE_COMMANDS = (
     ("--family", "quartic-family", "--du-list", "1,3", "--grid", "0:1:3",
      "--format", "json"),
@@ -84,8 +84,7 @@ def _cross_check(rows, indices):
     checks = {}
     for i in indices:
         row = rows[i]
-        model = models.TwoGaussianModel(sigma=row.sigma, alpha=row.alpha,
-                                        allow_out_of_range=True)
+        model = models.TwoGaussianModel(sigma=row.sigma, alpha=row.alpha)
         dv = lambda x: models.quantum_potential_closed(model, x)
         # box wide enough that the Dirichlet wall sits in negligible tail
         halfwidth = max(4.0, model.x0 + 10.0 * model.sigma)

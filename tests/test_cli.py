@@ -54,18 +54,10 @@ class TestTopLevel:
         for name in ("split", "sweep", "table1", "profile"):
             assert name in out
 
-    def test_split_loads_no_scipy(self):
-        probe = ("import sys; from dwsplit import cli; "
-                 "code = cli.main(['split', '--alpha', '1', '--sigma', '0.3593']); "
-                 "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
-                 "sys.exit(code)")
-        done = run_python(probe)
-        assert done.returncode == 0
-        assert done.stdout.splitlines()[-1] == "[]"
-
     def test_split_calls_no_lapack_and_loads_no_polynomial(self):
         # the panel rule is built from literals and a recurrence: a cold
-        # split runs with every LAPACK entry point of numpy.linalg refused
+        # split runs with every LAPACK entry point of numpy.linalg refused,
+        # and loads neither scipy nor numpy.polynomial
         probe = ("import sys, numpy.linalg as la\n"
                  "def refuse(*args, **kwargs):\n"
                  "    raise AssertionError('numpy.linalg called')\n"
@@ -76,10 +68,27 @@ class TestTopLevel:
                  "code = cli.main(['split', '--alpha', '1', '--sigma', "
                  "'0.3593'])\n"
                  "print('numpy.polynomial' in sys.modules)\n"
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith('scipy')))\n"
                  "sys.exit(code)")
         done = run_python(probe)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        assert done.stdout.splitlines()[-2:] == ["False", "[]"]
+
+    @pytest.mark.parametrize("argv", [
+        ("split", "--sigma", "0.6"),
+        ("sweep", "--family", "simple-du", "--du", "0.5:1:3"),
+        ("sweep", "--family", "fixed-dv", "--dv", "5", "--alpha", "1:2:3"),
+        ("table1", "--dv", "5"),
+        ("profile", "--family", "fixed-dv", "--dv", "5", "--alpha-list",
+         "1,2", "--grid", "0:1:3"),
+    ], ids=["split", "simple-du", "fixed-dv", "table1", "profile"])
+    def test_overlapping_wells_run_without_a_flag(self, capsys, argv):
+        # sigma/x0 above 0.5 in each; the overlap is warned, not refused
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        if argv[0] == "table1":
+            assert out.splitlines()[1].split()[:2] == ["1.0", "0.5623"]
 
     def test_non_finite_parameters_exit_1(self):
         # in a subprocess with a timeout: a NaN once sent the root finder
@@ -274,10 +283,11 @@ class TestSplit:
         assert out == ""
         assert "--alpha" in err
 
-    def test_rejects_out_of_range_sigma(self, capsys):
-        code, _, err = run(capsys, "split", "--sigma", "0.9")
-        assert code == 1
-        assert "sigma/x0" in err and "allow_out_of_range" in err
+    def test_wide_sigma_runs_and_warns_of_overlap(self, capsys):
+        code, out, _ = run(capsys, "split", "--sigma", "0.9")
+        assert code == 0
+        warnings = json.loads(out)["validity_warnings"]
+        assert len(warnings) == 1 and "S = " in warnings[0]
 
     def test_mixed_parameterizations_rejected(self, capsys):
         code, _, err = run(capsys, "split", "--sigma", "0.3", "--dv", "30",
@@ -548,8 +558,8 @@ class TestSweep:
           "--alpha", "1:2:3"), ("--alpha", "--dv")),
         (("--family", "fixed-dv", "--dv", "30", "--alpha", "1:2:2",
           "--du", "1:5:3"), ("--du",)),
-        (("--family", "quartic-du", "--du", "2:3:2",
-          "--allow-out-of-range"), ("--allow-out-of-range",)),
+        (("--family", "quartic-du", "--du", "2:3:2", "--dv", "30"),
+         ("--dv",)),
     ], ids=["simple-du", "fixed-dv", "quartic-du"])
     def test_rejects_flags_the_family_does_not_read(self, capsys, argv,
                                                     unread):
@@ -644,14 +654,14 @@ class TestProfile:
         assert doc["meta"]["column.3"] == "quantum (alpha=3)"
 
     def test_fixed_dv_family_allows_out_of_range(self, capsys):
-        # dV = 5 at alpha = 1 puts sigma/x0 at 0.56, above the band
+        # dV = 5 at alpha = 1 puts sigma/x0 at 0.56; --allow-out-of-range
+        # is accepted and changes nothing
         argv = ("profile", "--family", "fixed-dv", "--dv", "5",
                 "--alpha-list", "1", "--grid", "0:1:3")
-        code, _, err = run(capsys, *argv)
-        assert code == 1 and "allow_out_of_range" in err
-        code, out, _ = run(capsys, *argv, "--allow-out-of-range")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.splitlines()[-1].split(",")[0] == "1"
+        assert run(capsys, *argv, "--allow-out-of-range") == (0, out, "")
 
     def test_family_rejects_x0(self, capsys):
         code, out, err = run(capsys, "profile", "--family", "quartic-family",
@@ -792,11 +802,16 @@ class TestConfigFile:
                              "--methods", "localization", "--config", str(cfg))
         assert code == 1 and out == ""
         assert "allow-out-of-range" in err and "'maybe'" in err
-        for value, expected in (("Yes", 0), ("off", 1)):
-            cfg.write_text(f"allow-out-of-range = {value}\n")
-            code, _, _ = run(capsys, "split", "--sigma", "0.9", "--methods",
+        # the no-op switch is accepted either way; --quartic picks the mode
+        for key, value, model, expected in (
+                ("allow-out-of-range", "Yes", ("--sigma", "0.9"), 0),
+                ("allow-out-of-range", "off", ("--sigma", "0.9"), 0),
+                ("quartic", "Yes", ("--du", "3"), 0),
+                ("quartic", "off", ("--du", "3"), 1)):
+            cfg.write_text(f"{key} = {value}\n")
+            code, _, _ = run(capsys, "split", *model, "--methods",
                              "localization", "--config", str(cfg))
-            assert code == expected, value
+            assert code == expected, (key, value)
 
     def test_line_without_equals(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

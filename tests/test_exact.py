@@ -112,8 +112,7 @@ class TestConvergenceBookkeeping:
     def test_converged_means_resolved(self, du, converged):
         # the flag is set only where the value agrees with the
         # Green's-operator solver, which resolves every dU here
-        model = models.TwoGaussianModel(sigma=models.sigma_for_du(du),
-                                        allow_out_of_range=du < 1.31)
+        model = models.TwoGaussianModel(sigma=models.sigma_for_du(du))
         dv = lambda x: models.quantum_potential_closed(model, x)
         res = exact.exact_splitting(dv, model.x0,
                                     models.curvature_at_minima(model))
@@ -129,7 +128,7 @@ class TestGreenSplitting:
     @staticmethod
     def view(du):
         return models.meanfield_view(models.TwoGaussianModel(
-            sigma=models.sigma_for_du(du), allow_out_of_range=du < 1.31))
+            sigma=models.sigma_for_du(du)))
 
     @pytest.mark.parametrize("du, value", [(20.0, 1.350063916e-7),
                                            (30.0, 1.1193135052e-11),
@@ -164,8 +163,7 @@ class TestGreenSplitting:
         assert 0.0 < lower <= res.splitting <= upper
 
     @pytest.mark.parametrize("model", [
-        *(models.TwoGaussianModel(sigma=models.sigma_for_du(du),
-                                  allow_out_of_range=du < 1.31)
+        *(models.TwoGaussianModel(sigma=models.sigma_for_du(du))
           for du in (1.0, 6.0, 20.0, 40.0)),
         # unclamped, the Rayleigh quotient rounds 3 ulps below the lower end
         models.QuarticMeanFieldModel(du=185.0),
@@ -234,8 +232,7 @@ class TestGreenSplitting:
     def test_warm_start_keeps_the_cold_start_values(self, default_sweeps,
                                                     monkeypatch):
         views = [models.meanfield_view(models.TwoGaussianModel(
-                     sigma=row.sigma, alpha=row.alpha, x0=row.x0,
-                     allow_out_of_range=True))
+                     sigma=row.sigma, alpha=row.alpha, x0=row.x0))
                  for _, rows, _ in default_sweeps.values() for row in rows]
         views += [models.meanfield_view(models.QuarticMeanFieldModel(du=du))
                   for du in (3.0, 185.0, 659.0)]
@@ -258,8 +255,7 @@ class TestGreenSplitting:
         # integrals of its definition to 1e-14 on every node, also at
         # quartic du = 300, where 1/rho spans ~e^300
         views = [models.meanfield_view(models.TwoGaussianModel(
-                     sigma=row.sigma, alpha=row.alpha, x0=row.x0,
-                     allow_out_of_range=True))
+                     sigma=row.sigma, alpha=row.alpha, x0=row.x0))
                  for _, rows, _ in default_sweeps.values() for row in rows]
         views.append(models.meanfield_view(
             models.QuarticMeanFieldModel(du=300.0)))
@@ -279,8 +275,7 @@ class TestGreenSplitting:
         # an oracle that shares no panel matrix with the package, on every
         # sixth row of the default sweeps and up to the highest barriers
         chosen = [models.TwoGaussianModel(
-                      sigma=row.sigma, alpha=row.alpha, x0=row.x0,
-                      allow_out_of_range=True)
+                      sigma=row.sigma, alpha=row.alpha, x0=row.x0)
                   for _, rows, _ in default_sweeps.values()
                   for row in rows[::6]]
         chosen += [models.TwoGaussianModel(sigma=models.sigma_for_du(du))

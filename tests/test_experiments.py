@@ -24,8 +24,7 @@ def spec_from_golden(doc):
     return experiments.SweepSpec(
         family=meta["family"], start=meta["start"], stop=meta["stop"],
         n_points=meta["n_points"], fixed=meta["fixed"],
-        methods=tuple(meta["methods"]),
-        allow_out_of_range=meta["family"] == "simple_gaussian_dU")
+        methods=tuple(meta["methods"]))
 
 
 class TestSweepSpecValidation:
@@ -56,14 +55,14 @@ class TestSweepSpecValidation:
             experiments.SweepSpec("extended_fixed_dV", 1.0, 2.0, 5)
 
     def test_out_of_band_range_rejected(self, monkeypatch):
-        # dU = 1 puts sigma/x0 above the validated 0.5 cap; sigma falls
-        # with dU, so the spec's model at its start already refuses it
+        # the band is where the closed forms are finite: at dU = 1e160
+        # sigma^2 underflows, and the spec's model at its stop refuses it
         calls = []
         monkeypatch.setattr(experiments, "evaluate",
                             lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="validated range"):
+        with pytest.raises(ValueError, match="not all finite"):
             experiments.run_sweep(
-                experiments.SweepSpec("simple_gaussian_dU", 1.0, 12.0, 40))
+                experiments.SweepSpec("simple_gaussian_dU", 1.0, 1e160, 40))
         assert calls == []
 
     @pytest.mark.parametrize("family, fixed, key", [
@@ -180,8 +179,7 @@ class TestEvaluate:
 
     def test_single_well_keeps_its_values_and_is_named(self):
         # x0^2 = alpha sigma^2: U''(0) = 0, the density's one maximum
-        row = experiments.evaluate(models.TwoGaussianModel(
-            sigma=1.0, allow_out_of_range=True))
+        row = experiments.evaluate(models.TwoGaussianModel(sigma=1.0))
         assert {"exact", "localization"} <= set(row.splittings)
         assert row.failures["model"].startswith(
             "the density has one maximum: exact is the lowest odd-sector "
@@ -350,7 +348,6 @@ class TestDefaultSweeps:
         assert spec.family == "simple_gaussian_dU"
         assert (spec.start, spec.stop, spec.n_points) == (1.0, 12.0, 40)
         assert spec.methods == ("exact", "localization", "wkb")
-        assert spec.allow_out_of_range
 
     def test_width_sweep_configuration(self):
         for dv, stop in ((30.0, 3.2), (15.0, 2.4)):

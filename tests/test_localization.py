@@ -93,8 +93,7 @@ class TestOnePass:
     """green_splitting carries the estimate of the panels it stopped at."""
 
     @pytest.mark.parametrize("model", [
-        *(models.TwoGaussianModel(sigma=models.sigma_for_du(du),
-                                  allow_out_of_range=True)
+        *(models.TwoGaussianModel(sigma=models.sigma_for_du(du))
           for du in np.linspace(1.0, 12.0, 40)),
         models.QuarticMeanFieldModel(du=3.0),
         models.TwoGaussianModel(sigma=models.sigma_for_delta_v(15.0, 2.0),

@@ -21,13 +21,33 @@ def table_model(alpha, delta_v=30.0):
 
 
 class TestTwoGaussianModel:
-    def test_rejects_wide_sigma(self):
-        with pytest.raises(ValueError, match="sigma/x0"):
-            models.TwoGaussianModel(sigma=0.9)
+    def test_wide_sigma_constructs_with_overlap_warning(self):
+        m = models.TwoGaussianModel(sigma=0.9)
+        assert [w.split(":")[0] for w in m.validity_warnings] == [
+            "well separation is marginal"]
 
-    def test_allow_flag_records_warning(self):
-        m = models.TwoGaussianModel(sigma=0.9, allow_out_of_range=True)
-        assert any("sigma" in w for w in m.validity_warnings)
+    def test_overlap_warning_flags_every_inaccurate_closed_form(self):
+        # the closed-form dU and dV drop O(S) terms; every two-maximum
+        # model whose label is off by more than 1e-2 from the barrier of
+        # its own U and deltaV on a fine grid carries the S warning
+        x = np.linspace(0.0, 1.5, 20001)
+        models_seen, off = 0, []
+        for alpha in (1.0, 2.0, 3.0, 5.0):
+            for ratio in np.arange(0.15, 0.93 + 1e-9, 0.02):
+                m = models.TwoGaussianModel(sigma=float(ratio), alpha=alpha)
+                if not m.has_two_maxima():
+                    continue
+                models_seen += 1
+                u, dv = m.meanfield_potential(x), m.quantum_potential(x)
+                h = m.barrier_heights()
+                truth = ((h.delta_u, u[0] - u.min()),
+                         (h.delta_v, dv[0] - dv.min()))
+                if any(abs(label - t) > 1e-2 * t for label, t in truth):
+                    off.append(m)
+        assert (models_seen, len(off)) == (105, 53)
+        for m in off:
+            assert any(w.startswith("well separation is marginal")
+                       for w in m.validity_warnings), (m.sigma, m.alpha)
 
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -45,8 +65,7 @@ class TestTwoGaussianModel:
         (0.5, 4.0, 1.0)])  # x0^2 = alpha sigma^2: U''(0) = 0, U rises as x^4
     def test_two_maxima_where_the_origin_is_a_minimum_of_u(self, sigma,
                                                             alpha, x0):
-        m = models.TwoGaussianModel(sigma=sigma, alpha=alpha, x0=x0,
-                                    allow_out_of_range=True)
+        m = models.TwoGaussianModel(sigma=sigma, alpha=alpha, x0=x0)
         h = 1e-3 * x0
         bump = float(np.sum(m.meanfield_potential([-h, h]))
                      - 2.0 * m.meanfield_potential(0.0))

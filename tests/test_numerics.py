@@ -223,8 +223,7 @@ class TestFindRootBracketed:
         # root; brentq takes 11.9
         counts = []
         for du in np.linspace(1.0, 12.0, 40):
-            model = models.TwoGaussianModel(sigma=models.sigma_for_du(du),
-                                            allow_out_of_range=True)
+            model = models.TwoGaussianModel(sigma=models.sigma_for_du(du))
             level = (models.quantum_potential_closed(model, 0.0)
                      - 0.5 * model.barrier_heights().delta_v)
             calls = []
@@ -253,8 +252,7 @@ class TestFindRootBracketed:
 
         monkeypatch.setattr(numerics, "find_root_bracketed", counted)
         for du in np.linspace(1.0, 12.0, 40):
-            model = models.TwoGaussianModel(sigma=models.sigma_for_du(du),
-                                            allow_out_of_range=True)
+            model = models.TwoGaussianModel(sigma=models.sigma_for_du(du))
             wkb.wkb_splitting(
                 lambda s: models.quantum_potential_closed(model, s),
                 models.curvature_at_minima(model), 1.0)

@@ -25,8 +25,7 @@ def build(family, value, alpha, x0):
         return models.QuarticMeanFieldModel(du=value, x0=x0)
     sigma = (models.sigma_for_du(value, x0) if family == "simple"
              else models.sigma_for_delta_v(value, alpha, x0))
-    return models.TwoGaussianModel(sigma=sigma, x0=x0, alpha=alpha,
-                                   allow_out_of_range=True)
+    return models.TwoGaussianModel(sigma=sigma, x0=x0, alpha=alpha)
 
 
 log_du = st.floats(math.log(0.05), math.log(700.0)).map(math.exp)

@@ -82,7 +82,7 @@ class TestScaling:
 class TestApplicabilityLimits:
     def test_shallow_well_raises(self):
         # sigma close to x0: ground level exceeds the tiny barrier
-        model = models.TwoGaussianModel(sigma=1.02, allow_out_of_range=True)
+        model = models.TwoGaussianModel(sigma=1.02)
         dv = lambda x: models.quantum_potential_closed(model, x)
         with pytest.raises(wkb.WkbInapplicableError, match="barrier top"):
             wkb.wkb_splitting(dv, models.curvature_at_minima(model),
