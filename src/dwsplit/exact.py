@@ -6,17 +6,16 @@ psi = rho^(1/2) phi the operator -x0^2 d2/dx2 + deltaV becomes the
 diffusion-picture operator L phi = -x0^2 rho^-1 (rho phi')', whose lowest
 eigenvalue in the odd sector is the splitting.  Its inverse K is the
 flux-over-population double integral (Haenggi, Talkner & Borkovec, Rev.
-Mod. Phys. 62, 251, 1990).  K acts on the density discretization of the
-localization estimate: each step of `localization.discretizations` gives
-rho, 1/rho and g on the panel nodes.  One sweep applies both integrals:
-the inner one, t + a, with the panel matrix `numerics.REVERSE`, summed
-from L inwards, and the outer one, the integral of (1/rho)(t + a), in one
-product with `numerics.FORWARD`.  It adds only terms that are >= 0, so
-K phi keeps its relative accuracy in the tail.  The localization estimate
-is the Rayleigh quotient of g, so inverse iteration from g only improves
-on it; the one pass returns both.
-Later panel counts start from g plus the coarser count's correction
-(nested iteration, Brandt, Math. Comp. 31, 333, 1977).
+Mod. Phys. 62, 251, 1990).  K acts on rho, 1/rho and g on the panel nodes,
+as `localization.discretize` builds them for the localization estimate.
+One sweep applies both integrals: the inner one, t + a, with the panel
+matrix `numerics.REVERSE`, summed from L inwards, and the outer one, the
+integral of (1/rho)(t + a), in one product with `numerics.FORWARD`.  It
+adds only terms that are >= 0, so K phi keeps its relative accuracy in the
+tail.  The localization estimate is the Rayleigh quotient of g, so inverse
+iteration from g only improves on it; the one pass returns both.  Later
+panel counts start from g plus the coarser count's correction (nested
+iteration, Brandt, Math. Comp. 31, 333, 1977).
 
 ``exact_splitting(delta_v, well_location, well_curvature)`` takes a bare
 deltaV(s), for callers that have no density.  It diagonalizes
@@ -216,7 +215,7 @@ def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
     1/max(K phi/phi) <= lambda <= 1/min(K phi/phi) holds.  Iteration stops
     when that bracket, over nodes with phi above sqrt(eps) max phi, is
     narrower than numerics.REL_TOL relative, or after 50 iterations.  P
-    doubles from 32 along `localization.discretizations` until the result
+    runs through `localization.PANEL_COUNTS`, 32 to 4096, until the result
     is converged (see GreenSplittingResult); otherwise the one at 4096
     panels comes back with converged=False.
 
@@ -226,18 +225,22 @@ def green_splitting(view: MeanFieldView) -> GreenSplittingResult:
         If rho_eq underflows on the nodes, so that 1/rho_eq is not finite.
     """
     last, correction = None, None
-    for *arrays, g, estimate, settled in localization.discretizations(view):
+    for panels in localization.PANEL_COUNTS:
+        *arrays, g, estimate = localization.discretize(view, panels)
         start = g if correction is None else np.maximum(
             g + numerics.bisect(correction), 0.0)
         value, bracket, iterations, closed, phi = _inverse_iteration(
             view, *arrays, start)
         correction = phi - g
-        converged = (closed and settled and last is not None and last[1]
+        now = estimate.i_value, estimate.g_norm
+        settled = last is not None and all(
+            abs(x - y) <= numerics.REL_TOL * x for x, y in zip(now, last[2:]))
+        converged = (closed and settled and last[1]
                      and abs(value - last[0]) <= numerics.REL_TOL * value)
         if converged:
             break
-        last = value, closed
+        last = value, closed, *now
     return GreenSplittingResult(
-        splitting=value, bracket=bracket, n_panels=len(arrays[0]),
+        splitting=value, bracket=bracket, n_panels=panels,
         iterations=iterations, converged=converged,
         localization=estimate if settled else None)

@@ -33,6 +33,7 @@ overlap, where the closed-form barrier heights degrade.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -61,6 +62,8 @@ TABLE1_ALPHAS = (1.0, 1.5, 2.0, 2.5, 3.0)
 
 def canonical_methods(methods: Sequence[str]) -> tuple[str, ...]:
     """The requested methods in METHODS order; ValueError names unknown ones."""
+    if isinstance(methods, str):  # its letters would read as method names
+        raise ValueError(f"need a sequence of method names, not {methods!r}")
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ValueError(f"unknown methods {bad}, expected subset of {METHODS}")
@@ -92,8 +95,13 @@ class SweepSpec:
         if self.family not in SWEEP_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one "
                              f"of {tuple(SWEEP_FAMILIES)}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        try:
+            enough = operator.index(self.n_points) >= 2
+        except TypeError:  # not an integer, which np.linspace would refuse
+            enough = False
+        if not enough:
+            raise ValueError(f"n_points must be an integer >= 2, got "
+                             f"{self.n_points!r}")
         swept, reads, _ = SWEEP_FAMILIES[self.family]
         if not -math.inf < self.start < self.stop < math.inf:
             raise ValueError(f"need finite {swept} start < stop, "

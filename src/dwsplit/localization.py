@@ -16,12 +16,11 @@ a Rayleigh-Ritz style upper bound on the true deltaE1: g * rho_eq^(1/2) is
 the trial excited state orthogonal to the exact ground state rho_eq^(1/2).
 The bound tightens exponentially as the wells separate.  It is the
 Rayleigh quotient of g for the operator that `exact.green_splitting`
-inverts, and g is where that iteration starts.
-
-Both read one discretization of rho_eq per panel count P (`discretize`),
-the one place that integrates 1/rho_eq, and run the same P = 32, 64, ...,
-4096 (`discretizations`).  The estimate is read at the first P where I
-and <g|rho_eq|g> agree with their P/2 values to 1e-12 relative.
+inverts, and g is where that iteration starts, so that pass over the
+panel counts P = 32, 64, ..., 4096 returns the estimate too, and
+`splitting_localization` reads it there.  It holds at the P where the
+pass stops if I and <g|rho_eq|g> agree with their P/2 values to 1e-12.
+`discretize` builds rho_eq for one P, and it alone integrates 1/rho_eq.
 """
 
 from __future__ import annotations
@@ -92,23 +91,12 @@ def discretize(view: MeanFieldView, panels: int):
         g_norm=g_norm)
 
 
-def discretizations(view: MeanFieldView):
-    """Yield (*discretize(view, P), settled) for P in PANEL_COUNTS, where
-    settled means that I and <g|rho_eq|g> agree with P/2's to REL_TOL."""
-    last = None
-    for panels in PANEL_COUNTS:
-        *arrays, estimate = discretize(view, panels)
-        now = estimate.i_value, estimate.g_norm
-        yield (*arrays, estimate, last is not None and all(
-            abs(x - y) <= REL_TOL * x for x, y in zip(now, last)))
-        last = now
-
-
 def splitting_localization(view: MeanFieldView) -> LocalizationResult:
-    """Localization-function upper bound on the tunneling splitting."""
-    for *_, estimate, settled in discretizations(view):
-        if settled:
-            return estimate
-    raise numerics.NumericsError(
-        f"localization integrals not settled to {REL_TOL:g} relative with "
-        f"{PANEL_COUNTS[-1]} panels ({view.label})")
+    """The bound as `exact.green_splitting` returns it, or NumericsError."""
+    from . import exact  # exact imports this module
+    estimate = exact.green_splitting(view).localization
+    if estimate is None:
+        raise numerics.NumericsError(
+            f"localization integrals not settled to {REL_TOL:g} relative with "
+            f"{PANEL_COUNTS[-1]} panels ({view.label})")
+    return estimate

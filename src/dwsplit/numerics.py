@@ -141,8 +141,8 @@ def find_root_bracketed(
     """
     if not (lo < hi):
         raise ValueError(f"invalid bracket: need lo < hi, got lo={lo}, hi={hi}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # a NaN tol is refused too
+        raise ValueError(f"tol must be positive, got {tol}")
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo

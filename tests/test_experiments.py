@@ -36,6 +36,17 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="n_points"):
             experiments.SweepSpec("quartic_dU", 1.0, 2.0, 1)
 
+    @pytest.mark.parametrize("n_points", [2.5, 5.0, np.float64(5.0), "5"],
+                             ids=["2.5", "5.0", "float64", "str"])
+    def test_non_integral_points(self, n_points):
+        # np.linspace would refuse it only once run_sweep runs
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            experiments.SweepSpec("simple_gaussian_dU", 1.0, 2.0, n_points)
+
+    def test_numpy_integer_points(self):
+        spec = experiments.SweepSpec("quartic_dU", 1.0, 2.0, np.int64(3))
+        assert len(spec.swept_values()) == 3
+
     def test_inverted_range(self):
         with pytest.raises(ValueError, match="start < stop"):
             experiments.SweepSpec("quartic_dU", 2.0, 1.0, 5)
@@ -44,6 +55,10 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="unknown methods"):
             experiments.SweepSpec("quartic_dU", 1.0, 2.0, 5,
                                   methods=("exact", "bessel"))
+
+    def test_bare_string_methods(self):
+        with pytest.raises(ValueError, match="sequence of method names"):
+            experiments.SweepSpec("quartic_dU", 1.0, 2.0, 5, methods="wkb")
 
     def test_methods_stored_in_canonical_order(self):
         spec = experiments.SweepSpec("quartic_dU", 1.0, 2.0, 5,
@@ -184,6 +199,11 @@ class TestEvaluate:
         assert row.failures["model"].startswith(
             "the density has one maximum: exact is the lowest odd-sector "
             "eigenvalue of a single well and localization an upper bound")
+
+    def test_bare_string_methods(self):
+        # iterated, "wkb" would be the unknown methods 'w', 'k' and 'b'
+        with pytest.raises(ValueError, match="sequence of method names"):
+            experiments.evaluate(models.QuarticMeanFieldModel(du=3.0), "wkb")
 
     def test_methods_run_in_canonical_order(self):
         model = models.QuarticMeanFieldModel(du=3.0)

@@ -188,6 +188,17 @@ class TestFindRootBracketed:
 
     def test_endpoint_root(self):
         assert numerics.find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0
+        assert numerics.find_root_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_bracket_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            numerics.find_root_bracketed(lambda x: x - 1.5, lo, hi)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_non_positive_tol_refused(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            numerics.find_root_bracketed(lambda x: x - 0.3, 0.0, 1.0, tol=tol)
 
     def test_no_sign_change(self):
         with pytest.raises(numerics.RootBracketError):
